@@ -79,8 +79,8 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
       fp->add_exact_mask(sc->mask1);
       fp->add_exact_mask(sc->mask2);
     }
-    p1 = optimal_semilightpath(net, s, t, sc->mask1);
-    p2 = optimal_semilightpath(net, s, t, sc->mask2);
+    optimal_semilightpath_into(net, s, t, sc->mask1, &sc->dp, &p1);
+    optimal_semilightpath_into(net, s, t, sc->mask2, &sc->dp, &p2);
   } else {
     aux.project_into(pair.first, &sc->links1);
     aux.project_into(pair.second, &sc->links2);

@@ -52,12 +52,14 @@ class ApproxDisjointRouter final : public Router {
   }
 
   /// Recycled-result entry point: fills `*out` in place (capacity kept via
-  /// RouteResult::reset_keep_capacity). On the default configuration —
-  /// kFull policy without refinement — a warm steady-state call performs
-  /// zero heap allocations end to end: stable-arena aux build, warm-tree
-  /// Suurballe, pooled projection buffers, and in-place first-fit
-  /// assignment (tests/test_route_alloc.cpp holds the line). Refinement,
-  /// SRLG-with-groups, and partial protection delegate to their (allocating)
+  /// RouteResult::reset_keep_capacity). Under the kFull policy a warm
+  /// steady-state call performs zero heap allocations end to end, with or
+  /// without refinement: stable-arena aux build, warm-tree Suurballe,
+  /// pooled projection buffers, and either in-place first-fit assignment or
+  /// the Liang–Shen path DP writing into the recycled paths
+  /// (tests/test_route_alloc.cpp holds the line). A refinement mask that is
+  /// not a simple path falls back to the (allocating) layered graph;
+  /// SRLG-with-groups and partial protection delegate to their (allocating)
   /// sub-algorithms but share the same scratch where they can.
   void route_into(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                   RouteResult* out, RouteFootprint* fp) const;

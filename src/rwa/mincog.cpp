@@ -238,8 +238,10 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
     fp->add_exact_mask(sc->mask1);
     fp->add_exact_mask(sc->mask2);
   }
-  net::Semilightpath p1 = optimal_semilightpath(net, s, t, sc->mask1);
-  net::Semilightpath p2 = optimal_semilightpath(net, s, t, sc->mask2);
+  net::Semilightpath p1;
+  net::Semilightpath p2;
+  optimal_semilightpath_into(net, s, t, sc->mask1, &sc->dp, &p1);
+  optimal_semilightpath_into(net, s, t, sc->mask2, &sc->dp, &p2);
   tel.split(WDM_TEL_HIST("rwa.minload.liang_shen_ns"),
             WDM_TEL_NAME("rwa.minload.liang_shen"));
   tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));

@@ -23,6 +23,7 @@
 #include "graph/suurballe.hpp"
 #include "graph/suurballe_warm.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/layered_graph.hpp"
 #include "wdm/semilightpath.hpp"
 
 namespace wdm::rwa {
@@ -35,6 +36,8 @@ struct RouteScratch {
   std::vector<graph::EdgeId> links2;
   std::vector<std::uint8_t> mask1;
   std::vector<std::uint8_t> mask2;
+  /// Liang–Shen path-DP buffers for the §3.3.2 refinement.
+  PathDpScratch dp;
 
   /// uid() of the network the builder caches are bound to (0 = unbound).
   std::uint64_t bound_uid() const { return builder.bound_uid(); }

@@ -44,6 +44,12 @@ class ConversionTable {
   /// Requires allowed(from, to).
   double cost(Wavelength from, Wavelength to) const;
 
+  /// cost() without its allowed() check, for inner loops that test
+  /// allowed() themselves (the path DP of rwa::optimal_semilightpath).
+  double cost_unchecked(Wavelength from, Wavelength to) const {
+    return cost_[index(from, to)];
+  }
+
   /// True when every pair is allowed.
   bool is_full() const;
 

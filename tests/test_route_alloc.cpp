@@ -1,9 +1,8 @@
 // The zero-allocation guarantee of the routing hot path, enforced by a
-// counting global operator new. ISSUE/ROADMAP item 4's acceptance bar:
-// after a warmup request has sized the stable arena, the warm Suurballe
-// trees, and every pooled scratch buffer, a steady-state
-// ApproxDisjointRouter::route_into (kFull policy, refine off) must touch
-// the heap ZERO times. The hook counts every global new while armed; any
+// counting global operator new: after a warmup request has sized the stable
+// arena, the warm Suurballe trees, and every pooled scratch buffer, a
+// steady-state ApproxDisjointRouter::route_into (kFull policy, refinement
+// off or on) must touch the heap ZERO times. The hook counts every global new while armed; any
 // regression — a stray std::vector rebuild, a std::function capture, a
 // string in a telemetry label — fails loudly with the exact count.
 //
@@ -121,6 +120,32 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
         << "steady-state route_into touched the heap";
+  } else {
+    GTEST_SKIP() << "zero-allocation bar is NDEBUG-only (ran "
+                 << probe.count() << " allocations unasserted)";
+  }
+}
+
+TEST(RouteAlloc, SteadyStateRefinedRouteIntoIsAllocationFree) {
+  // With refinement on, each request runs two Liang–Shen solves; on NSFNET
+  // every projected mask is a simple path, so both take the path DP, whose
+  // buffers live in the pooled scratch and whose hops land in `out`.
+  net::WdmNetwork net = topo::nsfnet_network(/*W=*/8, 0.25);
+  const rwa::ApproxDisjointRouter router(/*refine=*/true);
+  rwa::RouteResult out;
+  const std::pair<net::NodeId, net::NodeId> queries[] = {
+      {0, 7}, {3, 12}, {5, 9}, {1, 13}, {0, 7}, {10, 2}};
+
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+
+  AllocationProbe probe;
+  for (const auto& [s, t] : queries) {
+    router.route_into(net, s, t, &out, nullptr);
+    ASSERT_TRUE(out.found);
+  }
+  if (kStrict) {
+    EXPECT_EQ(probe.count(), 0u)
+        << "steady-state refined route_into touched the heap";
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only (ran "
                  << probe.count() << " allocations unasserted)";
