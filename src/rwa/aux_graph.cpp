@@ -1,5 +1,6 @@
 #include "rwa/aux_graph.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -475,6 +476,15 @@ void AuxGraphBuilder::stable_structure(const net::WdmNetwork& net,
   uni_link_rev_.assign(static_cast<std::size_t>(m), kNoRevision);
   uni_conv_rev_.assign(static_cast<std::size_t>(n), kNoRevision);
   uni_node_mark_.assign(static_cast<std::size_t>(n), 0);
+  const auto nodes = static_cast<std::size_t>(aux.g.num_nodes());
+  feas_usable_.assign(static_cast<std::size_t>(m), 0);
+  feas_seen_.assign(nodes, 0);
+  feas_stamp_ = 0;
+  feas_pred_.assign(nodes, graph::kInvalidEdge);
+  feas_flow_in_.assign(nodes, graph::kInvalidEdge);
+  feas_queue_.assign(nodes, graph::kInvalidNode);
+  feas_path_.clear();
+  feas_path_.reserve(nodes);
   uni_protect_ = protect;
   uni_ready_ = true;
   uni_weights_valid_ = false;
@@ -737,6 +747,131 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
   uni_t_ = t;
   uni_net_rev_ = now_rev;
   uni_weights_valid_ = true;
+}
+
+bool AuxGraphBuilder::has_disjoint_pair(const net::WdmNetwork& net,
+                                        net::NodeId s, net::NodeId t,
+                                        const AuxGraphOptions& opt) {
+  const auto& pg = net.graph();
+  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
+  WDM_CHECK(s != t);
+  WDM_CHECK(opt.link_enabled.empty() ||
+            opt.link_enabled.size() == static_cast<std::size_t>(pg.num_edges()));
+  WDM_CHECK_MSG(!opt.protect_nodes,
+                "has_disjoint_pair does not model the node-protection gadget");
+  bind(net);
+  // Any universe serves: a protect-mode one carries the same link, pair and
+  // query arcs, and the BFS never enters its gadget arcs.
+  if (!uni_ready_) stable_structure(net, /*protect=*/false);
+
+  // One s' arc leaves per usable link out of s and one t'' arc enters per
+  // usable link into t, so two disjoint paths need two of each.
+  int s_links = 0;
+  int t_links = 0;
+  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
+    const bool usable = stable_usable(net, e, opt);
+    feas_usable_[static_cast<std::size_t>(e)] = usable ? 1 : 0;
+    if (usable) {
+      s_links += pg.tail(e) == s ? 1 : 0;
+      t_links += pg.head(e) == t ? 1 : 0;
+    }
+  }
+  if (s_links < 2 || t_links < 2) return false;
+  if (!feasibility_bfs(net, s, t)) return false;
+
+  // Augment along the first path (all of its arcs are forward), then look
+  // for a second path in the residual graph.
+  for (NodeId v = aux_.t_second; v != aux_.s_prime;) {
+    const EdgeId a = feas_pred_[static_cast<std::size_t>(v)];
+    feas_flow_in_[static_cast<std::size_t>(v)] = a;
+    feas_path_.push_back(v);
+    v = aux_.g.tail(a);
+  }
+  const bool found = feasibility_bfs(net, s, t);
+  for (const NodeId v : feas_path_) {
+    feas_flow_in_[static_cast<std::size_t>(v)] = graph::kInvalidEdge;
+  }
+  feas_path_.clear();
+  return found;
+}
+
+bool AuxGraphBuilder::feasibility_bfs(const net::WdmNetwork& net,
+                                      net::NodeId s, net::NodeId t) {
+  const auto& pg = net.graph();
+  const graph::Digraph& g = aux_.g;
+  const EdgeId m = pg.num_edges();
+  const auto pair_end = static_cast<EdgeId>(
+      static_cast<std::size_t>(m) +
+      pair_base_[static_cast<std::size_t>(pg.num_nodes())]);
+  const NodeId s_prime = aux_.s_prime;
+  const NodeId t_second = aux_.t_second;
+  if (++feas_stamp_ == 0) {  // stamp wrapped: forget every old visit
+    std::fill(feas_seen_.begin(), feas_seen_.end(), 0U);
+    feas_stamp_ = 1;
+  }
+  auto seen = [&](NodeId v) {
+    return feas_seen_[static_cast<std::size_t>(v)] == feas_stamp_;
+  };
+  // A forward arc has residual capacity unless the first path holds it.
+  auto free = [&](EdgeId a, NodeId head) {
+    return feas_flow_in_[static_cast<std::size_t>(head)] != a;
+  };
+  std::size_t q_head = 0;
+  std::size_t q_tail = 0;
+  auto visit = [&](NodeId v, EdgeId a) {
+    const auto i = static_cast<std::size_t>(v);
+    feas_seen_[i] = feas_stamp_;
+    feas_pred_[i] = a;
+    feas_queue_[q_tail++] = v;
+  };
+  visit(s_prime, graph::kInvalidEdge);
+  while (q_head < q_tail) {
+    const NodeId u = feas_queue_[q_head++];
+    if (u == s_prime) {
+      for (const EdgeId e : pg.out_edges(s)) {
+        const NodeId v = 2 * e;
+        const EdgeId a = uni_sprime_arc_base_ + e;
+        if (feas_usable_[static_cast<std::size_t>(e)] != 0 && !seen(v) &&
+            free(a, v)) {
+          visit(v, a);
+        }
+      }
+      continue;
+    }
+    // The residual reverse of the first path's arc into u.
+    const EdgeId back = feas_flow_in_[static_cast<std::size_t>(u)];
+    if (back != graph::kInvalidEdge && !seen(g.tail(back))) {
+      visit(g.tail(back), back);
+    }
+    const EdgeId e = u / 2;
+    if (u % 2 == 0) {  // u_out^e: its one out-arc is the link arc
+      if (!seen(u + 1) && free(e, u + 1)) visit(u + 1, e);
+      continue;
+    }
+    // v_in^e at x = head(e): the t'' arc, then the transit arcs at x.
+    const NodeId x = pg.head(e);
+    if (x == t) {
+      const EdgeId a = uni_tsec_arc_base_ + e;
+      if (free(a, t_second)) {
+        feas_pred_[static_cast<std::size_t>(t_second)] = a;
+        return true;
+      }
+    }
+    for (const EdgeId a : g.out_edges(u)) {
+      if (a < m || a >= pair_end) continue;  // t'' arc or protect gadget
+      const NodeId v = g.head(a);
+      const EdgeId e2 = v / 2;
+      if (feas_usable_[static_cast<std::size_t>(e2)] == 0 || seen(v) ||
+          !free(a, v)) {
+        continue;
+      }
+      double mean = 0.0;
+      if (transit_mean(net, x, static_cast<std::size_t>(a - m), e, e2, &mean)) {
+        visit(v, a);
+      }
+    }
+  }
+  return false;
 }
 
 void AuxGraphBuilder::build_batch(

@@ -183,6 +183,23 @@ class AuxGraphBuilder {
                    const AuxGraphOptions& opt,
                    const std::function<void(std::size_t, const AuxGraph&)>& fn);
 
+  /// Feasibility test for the θ searches of §4.1: true iff the graph
+  /// build(net, s, t, opt) would produce holds two arc-disjoint s' -> t''
+  /// paths, i.e. iff graph::suurballe on it finds a pair. Runs unweighted
+  /// over the stable-arena universe: links pass the filter a build applies
+  /// (mask, residual availability, the strict or inclusive ϑ filter of
+  /// G_c / G_rc), transit arcs open through the revision-checked
+  /// conversion-mean cache, and two BFS augmentations over the CSR decide
+  /// whether a unit-capacity flow of 2 exists. No arc weight and no
+  /// patch-log entry is written: a later stable-arena build, and a
+  /// SuurballeEngine fed by patch_feed(), find the arena as the last build
+  /// left it. A graph returned by an earlier *compact* build is replaced by
+  /// the universe. Allocation-free once the universe is sized. The
+  /// node-protection gadget is not supported (opt.protect_nodes must be
+  /// false).
+  bool has_disjoint_pair(const net::WdmNetwork& net, net::NodeId s,
+                         net::NodeId t, const AuxGraphOptions& opt);
+
   /// Moves the last-built graph out of the arena (donating its buffers);
   /// the next build starts from empty vectors but keeps the caches.
   AuxGraph take_last();
@@ -309,6 +326,22 @@ class AuxGraphBuilder {
   graph::EdgeId uni_tsec_arc_base_ = 0;    // t'' arc of link e = base + e
   std::vector<std::uint8_t> uni_node_mark_;   // scratch: dedup changed nodes
   std::vector<net::NodeId> uni_changed_nodes_;  // scratch
+
+  /// One BFS of has_disjoint_pair's augmentation, from s' over the residual
+  /// graph; on reaching t'' returns true with the path's arcs in feas_pred_
+  /// (the first BFS uses forward arcs only).
+  bool feasibility_bfs(const net::WdmNetwork& net, net::NodeId s,
+                       net::NodeId t);
+  // has_disjoint_pair scratch, sized with the universe. feas_flow_in_[v] is
+  // the first augmenting path's arc into aux node v (kInvalidEdge off it);
+  // feas_seen_ holds per-BFS stamps so no pass clears an O(n) array.
+  std::vector<std::uint8_t> feas_usable_;      // per link: passes the filter
+  std::vector<std::uint32_t> feas_seen_;       // per aux node: visit stamp
+  std::vector<graph::EdgeId> feas_pred_;       // per aux node: arc reached by
+  std::vector<graph::EdgeId> feas_flow_in_;
+  std::vector<graph::NodeId> feas_queue_;
+  std::vector<graph::NodeId> feas_path_;       // nodes with feas_flow_in_ set
+  std::uint32_t feas_stamp_ = 0;
 
   CacheStats stats_;
 };

@@ -28,13 +28,11 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
       fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
 
-  // Phase 1: minimum feasible network-load threshold. Probes go through the
-  // scratch builder's stable arena so phase 2 (and the next request) finds
-  // the universe structure intact.
-  MinCogOptions mopt = opt_;
-  mopt.stable_arena = true;
+  // Phase 1: minimum feasible network-load threshold. The probes only test
+  // for a disjoint pair and write no arc weight, so phase 2 finds the stable
+  // arena (and the warm Suurballe trees) as the last G_rc build left them.
   const MinCogResult mc =
-      find_two_paths_mincog(net, s, t, mopt, &sc->builder);
+      find_mincog_threshold(net, s, t, opt_, sc->builder);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
   if (band_footprint) {

@@ -1,8 +1,9 @@
 // §4.2 — the paper's headline router: minimize network load AND routing cost.
 //
-// Phase 1 runs Find_Two_Paths_MinCog to obtain a feasible load threshold ϑ.
-// Phase 2 rebuilds the auxiliary graph as G_rc(ϑ) — same ϑ-filtered topology
-// as G_c, but with the cost weights of G' — runs Suurballe on it, and
+// Phase 1 runs the threshold search of Find_Two_Paths_MinCog to obtain a
+// feasible load threshold ϑ; it needs only ϑ, never the G_c pair. Phase 2
+// builds the auxiliary graph as G_rc(ϑ) — same ϑ-filtered topology as G_c,
+// but with the cost weights of G' — runs Suurballe on it, and
 // refines each returned path with the optimal-semilightpath solver in its
 // induced subgraph. The result is a cheapest-available pair among the routes
 // that respect the (approximately) minimum achievable congestion, which is
@@ -50,8 +51,9 @@ class LoadCostRouter final : public Router {
   bool grc_mean_over_available_;
   net::ProtectPolicy policy_;
   /// One leased scratch serves both phases of a route() call: the G_c(ϑ)
-  /// probes and the final G_rc(ϑ) share the builder's stable arena and
-  /// conversion-mean cache, and phase 2 reuses the warm Suurballe trees.
+  /// feasibility probes and the final G_rc(ϑ) share the builder's stable
+  /// arena and conversion-mean cache, and phase 2 reuses the warm Suurballe
+  /// trees.
   mutable RouteScratchPool scratch_;
 };
 

@@ -14,45 +14,53 @@ namespace wdm::rwa {
 
 namespace {
 
-/// One probe: build G_c(ϑ) through the shared warm builder, run Suurballe.
-/// Feasible iff a pair exists. The network is untouched between probes, so
-/// only the first probe of a search pays the transit-arc scans.
+/// One probe: does G_c(ϑ) hold two edge-disjoint s′→t″ paths? Suurballe on
+/// nonnegative weights with unreachable +inf arcs finds a pair exactly when
+/// two arc-disjoint finite paths exist, so this unweighted test answers as a
+/// weighted build plus Suurballe would.
 bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-           double theta, const MinCogOptions& opt, AuxGraphBuilder& builder,
-           MinCogResult* into, bool inclusive = false) {
+           double theta, AuxGraphBuilder& builder, bool inclusive = false) {
   WDM_TEL_COUNT("rwa.mincog.probes");
   support::telemetry::SplitTimer tel;
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
   aopt.theta = theta;
-  aopt.load_base = opt.load_base;
   aopt.include_at_threshold = inclusive;
-  aopt.stable_arena = opt.stable_arena;
+  const bool feasible = builder.has_disjoint_pair(net, s, t, aopt);
+  tel.split(WDM_TEL_HIST("rwa.mincog.feasibility_ns"),
+            WDM_TEL_NAME("rwa.mincog.feasibility"));
+  return feasible;
+}
+
+/// The weighted G_c(ϑ) at the accepted threshold, built in the builder's
+/// stable arena; with `pair` set, also its classic Suurballe pair.
+const AuxGraph& build_accepted(const net::WdmNetwork& net, net::NodeId s,
+                               net::NodeId t, double theta,
+                               const MinCogOptions& opt,
+                               AuxGraphBuilder& builder,
+                               graph::DisjointPair* pair) {
+  support::telemetry::SplitTimer tel;
+  AuxGraphOptions aopt;
+  aopt.weighting = AuxWeighting::kLoadExponential;
+  aopt.theta = theta;
+  aopt.load_base = opt.load_base;
+  aopt.stable_arena = true;
   const AuxGraph& aux = builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
             WDM_TEL_NAME("rwa.mincog.aux_build"));
-  graph::DisjointPair pair =
-      graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
-  tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
-            WDM_TEL_NAME("rwa.mincog.suurballe"));
-  if (!pair.found) return false;
-  if (into != nullptr) {
-    into->aux_pair = std::move(pair);
-    into->aux = aux;  // copy out of the builder's arena (success path only)
+  if (pair != nullptr) {
+    *pair = graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
+    tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
+              WDM_TEL_NAME("rwa.mincog.suurballe"));
   }
-  return true;
+  return aux;
 }
-
-}  // namespace
-
-namespace {
 
 /// Ablation variant: probe every distinct boundary value just past each
 /// link load (plus ϑ_min / ϑ_max) in increasing order. Exact minimum grid
 /// threshold, up to O(m) probes.
 MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
-                                net::NodeId t, const MinCogOptions& opt,
-                                AuxGraphBuilder& builder) {
+                                net::NodeId t, AuxGraphBuilder& builder) {
   MinCogResult result;
   std::set<double> grid;
   grid.insert(net.theta_min());
@@ -65,7 +73,7 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
   for (double theta : grid) {
     ++result.iterations;
     result.probes.push_back(theta);
-    if (probe(net, s, t, theta, opt, builder, &result)) {
+    if (probe(net, s, t, theta, builder)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -85,7 +93,7 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   double hi = net.theta_max();
   ++result.iterations;
   result.probes.push_back(lo);
-  if (probe(net, s, t, lo, opt, builder, &result)) {
+  if (probe(net, s, t, lo, builder)) {
     result.found = true;
     result.theta = lo;
     return result;
@@ -93,43 +101,36 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   result.last_infeasible_theta = lo;
   ++result.iterations;
   result.probes.push_back(hi);
-  if (!probe(net, s, t, hi, opt, builder, &result)) {
+  if (!probe(net, s, t, hi, builder)) {
     result.last_infeasible_theta = hi;
     return result;  // drop: infeasible even with every link admitted
   }
-  double best = hi;
   while (hi - lo > opt.bisection_tolerance) {
     const double mid = 0.5 * (lo + hi);
     ++result.iterations;
     result.probes.push_back(mid);
-    MinCogResult probe_result;
-    if (probe(net, s, t, mid, opt, builder, &probe_result)) {
+    if (probe(net, s, t, mid, builder)) {
       hi = mid;
-      best = mid;
-      result.aux_pair = std::move(probe_result.aux_pair);
-      result.aux = std::move(probe_result.aux);
     } else {
       lo = mid;
       result.last_infeasible_theta = mid;
     }
   }
   result.found = true;
-  result.theta = best;
+  result.theta = hi;
   return result;
 }
 
 }  // namespace
 
-MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
+MinCogResult find_mincog_threshold(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt,
-                                   AuxGraphBuilder* builder) {
-  AuxGraphBuilder local;
-  AuxGraphBuilder& b = (builder != nullptr) ? *builder : local;
+                                   AuxGraphBuilder& builder) {
   if (opt.search == ThetaSearch::kLinearScan) {
-    return mincog_linear_scan(net, s, t, opt, b);
+    return mincog_linear_scan(net, s, t, builder);
   }
   if (opt.search == ThetaSearch::kBisection) {
-    return mincog_bisection(net, s, t, opt, b);
+    return mincog_bisection(net, s, t, opt, builder);
   }
 
   MinCogResult result;
@@ -145,7 +146,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   while (true) {
     ++result.iterations;
     result.probes.push_back(theta);
-    if (probe(net, s, t, theta, opt, b, &result)) {
+    if (probe(net, s, t, theta, builder)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -156,6 +157,18 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
     --j;
     // j < 0 means the increment has grown past Δ; the clamp above has already
     // pushed ϑ to ϑ_max, so the next probe is the final one.
+  }
+  return result;
+}
+
+MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
+                                   net::NodeId t, const MinCogOptions& opt) {
+  AuxGraphBuilder builder;
+  MinCogResult result = find_mincog_threshold(net, s, t, opt, builder);
+  if (result.found) {
+    result.aux = build_accepted(net, s, t, result.theta, opt, builder,
+                                &result.aux_pair);
+    WDM_DCHECK(result.aux_pair.found);
   }
   return result;
 }
@@ -172,7 +185,7 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   }
   AuxGraphBuilder builder;  // warm across the probe sweep
   for (double load : candidates) {
-    if (probe(net, s, t, load, MinCogOptions{}, builder, nullptr, /*inclusive=*/true)) {
+    if (probe(net, s, t, load, builder, /*inclusive=*/true)) {
       if (theta_out != nullptr) *theta_out = load;
       return true;
     }
@@ -196,9 +209,7 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   const bool band_footprint =
       fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
-  MinCogOptions mopt = opt_;
-  mopt.stable_arena = true;
-  MinCogResult mc = find_two_paths_mincog(net, s, t, mopt, &sc->builder);
+  const MinCogResult mc = find_mincog_threshold(net, s, t, opt_, sc->builder);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
   if (band_footprint) {
@@ -209,6 +220,13 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
     fp->theta_probes = mc.probes;
     if (mc.found) fp->theta_accepted = mc.theta;
   }
+  // The weighted G_c once, at the accepted ϑ. The SRLG stage replaces the
+  // Suurballe pair, so that path skips the solve.
+  const AuxGraph* aux = nullptr;
+  if (mc.found) {
+    aux = &build_accepted(net, s, t, mc.theta, opt_, sc->builder,
+                          srlg_path ? nullptr : &sc->pair);
+  }
   tel.split(WDM_TEL_HIST("rwa.minload.theta_search_ns"),
             WDM_TEL_NAME("rwa.minload.theta_search"));
   WDM_TEL_COUNT_N("rwa.minload.theta_probes", mc.iterations);
@@ -217,23 +235,24 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
     tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
     return result;
   }
-  if (policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
+  if (srlg_path) {
     // Rerun the pair search on the accepted G_c(ϑ) with conflict sets.
-    SrlgPairResult sp = srlg_disjoint_pair(net, mc.aux);
+    SrlgPairResult sp = srlg_disjoint_pair(net, *aux);
     result.srlg_exhaustive = sp.exhaustive;
-    if (!sp.pair.found) {
-      WDM_TEL_COUNT("rwa.minload.blocked");
-      tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
-      return result;
-    }
-    mc.aux_pair = std::move(sp.pair);
+    sc->pair = std::move(sp.pair);
   }
-  result.aux_cost = mc.aux_pair.total_cost();
+  const graph::DisjointPair& pair = sc->pair;
+  // Without SRLGs the pair exists whenever the probe at ϑ said so; guard
+  // anyway, as LoadCostRouter does.
+  if (!pair.found) {
+    WDM_TEL_COUNT("rwa.minload.blocked");
+    tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
+    return result;
+  }
+  result.aux_cost = pair.total_cost();
 
-  mc.aux.induced_link_mask_into(mc.aux_pair.first, net.num_links(),
-                                &sc->mask1);
-  mc.aux.induced_link_mask_into(mc.aux_pair.second, net.num_links(),
-                                &sc->mask2);
+  aux->induced_link_mask_into(pair.first, net.num_links(), &sc->mask1);
+  aux->induced_link_mask_into(pair.second, net.num_links(), &sc->mask2);
   if (fp != nullptr && !fp->opaque) {
     fp->add_exact_mask(sc->mask1);
     fp->add_exact_mask(sc->mask2);

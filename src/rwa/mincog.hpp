@@ -1,15 +1,17 @@
 // §4.1 — Find_Two_Paths_MinCog: two edge-disjoint semilightpaths minimizing
 // the network load ρ, via a geometric search over the load threshold ϑ.
 //
-// The search constructs G_c(ϑ) and runs Suurballe; on failure it raises ϑ
-// and retries. The paper's pseudo-code increments ϑ by Δ/2^j with j counting
+// Each probe asks only whether G_c(ϑ) holds two edge-disjoint s′→t″ paths
+// (AuxGraphBuilder::has_disjoint_pair); on failure the search raises ϑ and
+// retries. The paper's pseudo-code increments ϑ by Δ/2^j with j counting
 // *down* from j0 = ⌈log2(1/Δ)⌉ — i.e. the increment doubles on every failed
 // probe, so the accepted ϑ overshoots the minimum feasible threshold by at
 // most the last increment, giving the <3 performance ratio of Theorem 3.
 // (Read literally, the pseudo-code's loop guard `j < 0` and the +Δ/2^j
 // updates do not terminate against ϑ_max; we implement the doubling-
 // increment intent, clamp probes at ϑ_max, and finish with the mandatory
-// ϑ_max probe that decides whether the request must be dropped.)
+// ϑ_max probe that decides whether the request must be dropped.) Only the
+// accepted ϑ needs the weighted G_c(ϑ) and its Suurballe pair.
 #pragma once
 
 #include "graph/suurballe.hpp"
@@ -33,19 +35,13 @@ struct MinCogOptions {
   ThetaSearch search = ThetaSearch::kDoubling;
   /// Bisection stops when the bracket is narrower than this.
   double bisection_tolerance = 1e-3;
-  /// Build every G_c(ϑ) probe in the builder's stable arena
-  /// (AuxGraphOptions::stable_arena). The routers set this when probing
-  /// through a RouteScratch builder: the arena and a compact build cannot
-  /// coexist in one builder, so mixing modes would rebuild the universe
-  /// structure every request and defeat the warm Suurballe trees.
-  bool stable_arena = false;
 };
 
 struct MinCogResult {
   bool found = false;
   /// Accepted threshold (the approximate minimum network load).
   double theta = 0.0;
-  /// Number of G_c constructions (probes) — Theorem 3 bounds this by
+  /// Number of feasibility probes of G_c(ϑ) — Theorem 3 bounds this by
   /// O(log 1/Δ).
   int iterations = 0;
   /// Every ϑ value probed, in order (iterations entries) — the load-band
@@ -55,21 +51,31 @@ struct MinCogResult {
   /// probe succeeded). Theorem 3's ratio argument bounds
   /// theta / last_infeasible_theta by 3.
   double last_infeasible_theta = std::numeric_limits<double>::quiet_NaN();
-  /// The two edge-disjoint paths in the final G_c.
+  /// The two edge-disjoint paths in the weighted G_c at the accepted ϑ
+  /// (find_two_paths_mincog only).
   graph::DisjointPair aux_pair;
-  /// The final auxiliary graph (kept for projection).
+  /// That auxiliary graph, copied out of the builder's stable arena for
+  /// projection (find_two_paths_mincog only).
   AuxGraph aux;
 };
 
-/// The threshold search itself. Exposed separately from the Router wrapper
-/// so bench E5 can compare the accepted ϑ against the exact minimum.
-/// Every probe builds a fresh G_c(ϑ); `builder` (optional) supplies the
-/// warm AuxGraphBuilder the probes share — since the network is untouched
-/// between probes, every transit-arc scan after the first is a cache hit.
-/// With nullptr a search-local builder is used, still warming across probes.
+/// The threshold search alone: found, theta, iterations, probes and
+/// last_infeasible_theta; aux_pair and aux stay empty. Every probe is a
+/// has_disjoint_pair test through `builder`, which writes no arc weight, so
+/// the builder's stable arena is left as its last build() made it.
+/// LoadCostRouter goes from here straight to G_rc(ϑ).
+MinCogResult find_mincog_threshold(const net::WdmNetwork& net, net::NodeId s,
+                                   net::NodeId t, const MinCogOptions& opt,
+                                   AuxGraphBuilder& builder);
+
+/// The threshold search plus the weighted G_c(ϑ) at the accepted ϑ, built
+/// once in a stable arena and solved with Suurballe. Exposed separately from
+/// the Router wrapper so bench E5 can compare the accepted ϑ against the
+/// exact minimum. The probes share one search-local builder: the network is
+/// untouched between probes, so every transit-arc lookup after the first is
+/// a cache hit.
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
-                                   net::NodeId t, const MinCogOptions& opt = {},
-                                   AuxGraphBuilder* builder = nullptr);
+                                   net::NodeId t, const MinCogOptions& opt = {});
 
 /// Exact minimum achievable bottleneck load L*: the smallest value such that
 /// two edge-disjoint routes exist using only links with load <= L*. Under
@@ -107,8 +113,8 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// Probes share the scratch builder's stable arena; the copied-out final
-  /// G_c keeps the projection masks in the scratch's recycled buffers.
+  /// Probes and the accepted-ϑ G_c share the scratch builder's stable
+  /// arena; projection masks land in the scratch's recycled buffers.
   mutable RouteScratchPool scratch_;
 };
 

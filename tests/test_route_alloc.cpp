@@ -2,9 +2,11 @@
 // counting global operator new: after a warmup request has sized the stable
 // arena, the warm Suurballe trees, and every pooled scratch buffer, a
 // steady-state ApproxDisjointRouter::route_into (kFull policy, refinement
-// off or on) must touch the heap ZERO times. The hook counts every global new while armed; any
-// regression — a stray std::vector rebuild, a std::function capture, a
-// string in a telemetry label — fails loudly with the exact count.
+// off or on) must touch the heap ZERO times, and so must the θ search's
+// feasibility probe (AuxGraphBuilder::has_disjoint_pair). The hook counts
+// every global new while armed; any regression — a stray std::vector
+// rebuild, a std::function capture, a string in a telemetry label — fails
+// loudly with the exact count.
 //
 // Debug builds run the same scenarios without the zero bar (WDM_DCHECK
 // machinery and libstdc++ debug containers allocate freely); the strict
@@ -189,6 +191,53 @@ TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
         << "arena rebuild / warm solve touched the heap";
+  } else {
+    GTEST_SKIP() << "zero-allocation bar is NDEBUG-only";
+  }
+}
+
+TEST(RouteAlloc, FeasibilityProbeIsAllocationFree) {
+  // The θ search's probe over a ladder of thresholds, both filters, and a
+  // state-neutral churn cycle (so transit-cache entries go stale and are
+  // recomputed): once the first cycle has sized the universe, no probe may
+  // touch the heap.
+  net::WdmNetwork net = topo::nsfnet_network(/*W=*/8, 0.25);
+  for (graph::EdgeId e = 0; e < net.num_links(); e += 3) {
+    net.reserve(e, net.available(e).lowest());
+  }
+  rwa::AuxGraphBuilder builder;
+  rwa::AuxGraphOptions opt;
+  opt.weighting = rwa::AuxWeighting::kLoadExponential;
+  const std::pair<net::NodeId, net::NodeId> queries[] = {
+      {0, 7}, {3, 12}, {5, 9}, {1, 13}};
+
+  long feasible = 0;
+  auto ladder = [&] {
+    for (const auto& [s, t] : queries) {
+      for (const double theta : {0.1, 0.125, 0.2, 0.5, 1.0}) {
+        for (const bool inclusive : {false, true}) {
+          opt.theta = theta;
+          opt.include_at_threshold = inclusive;
+          feasible += builder.has_disjoint_pair(net, s, t, opt) ? 1 : 0;
+        }
+      }
+    }
+  };
+  auto cycle = [&] {
+    const net::Wavelength l0 = net.available(1).lowest();
+    net.reserve(1, l0);
+    ladder();
+    net.release(1, l0);
+    ladder();
+  };
+  cycle();
+
+  feasible = 0;
+  AllocationProbe probe;
+  cycle();
+  EXPECT_GT(feasible, 0);
+  if (kStrict) {
+    EXPECT_EQ(probe.count(), 0u) << "feasibility probe touched the heap";
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only";
   }
