@@ -110,9 +110,8 @@ inline void note(const std::string& s) {
   std::printf("note: %s\n", s.c_str());
 }
 
-/// The one definition of provisioning throughput shared by every bench that
-/// reports it (E13b, E17): requests *processed* — accepted or dropped, both
-/// cost a routing attempt — per wall-clock second.
+/// Provisioning throughput as E13b reports it: requests *processed* —
+/// accepted or dropped, both cost a routing attempt — per wall-clock second.
 inline double requests_per_second(long long requests, double elapsed_ms) {
   return elapsed_ms > 0.0
              ? 1000.0 * static_cast<double>(requests) / elapsed_ms

@@ -211,7 +211,7 @@ class AuxGraphBuilder {
   /// AuxGraphBuilderPool keys leases on this so a caller gets back a builder
   /// whose caches are warm for *its* network, not whichever network leased
   /// last — the difference between a warm rebuild and a full rebind when
-  /// snapshot copies and the live network interleave (ParallelBatchEngine).
+  /// replicas sharing one router interleave their networks (sim::replicate).
   std::uint64_t bound_uid() const { return net_uid_; }
 
   /// Monotone counter bumped every time the stable-arena *structure* (node
@@ -378,9 +378,9 @@ class AuxGraphBuilderPool {
   Lease lease();
   /// Keyed lease: prefers an idle builder already bound to `net` (warm
   /// caches), then an unbound one, then LIFO; allocates only when the pool
-  /// is empty. Concurrent callers over distinct networks (speculation
-  /// snapshots vs the live network) each keep their own warm builder instead
-  /// of thrashing each other's caches through rebinds.
+  /// is empty. Concurrent callers over distinct networks (replicas sharing
+  /// one router) each keep their own warm builder instead of thrashing each
+  /// other's caches through rebinds.
   Lease lease(const net::WdmNetwork& net);
   /// Builders currently parked in the pool (observability for tests).
   std::size_t idle_count() const;

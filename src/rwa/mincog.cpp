@@ -194,8 +194,7 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
 }
 
 RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
-                                 net::NodeId t, RouteFootprint* fp) const {
-  if (fp != nullptr) fp->mark_opaque();
+                                 net::NodeId t) const {
   if (policy_.kind == net::ProtectKind::kPartial) {
     return route_partial(net, s, t, policy_.threshold);
   }
@@ -206,20 +205,10 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   result.route.policy = policy_;
   const bool srlg_path =
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
-  const bool band_footprint =
-      fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
   const MinCogResult mc = find_mincog_threshold(net, s, t, opt_, sc->builder);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
-  if (band_footprint) {
-    fp->begin();
-    fp->load_semantics = true;
-    fp->theta_min = net.theta_min();
-    fp->theta_max = net.theta_max();
-    fp->theta_probes = mc.probes;
-    if (mc.found) fp->theta_accepted = mc.theta;
-  }
   // The weighted G_c once, at the accepted ϑ. The SRLG stage replaces the
   // Suurballe pair, so that path skips the solve.
   const AuxGraph* aux = nullptr;
@@ -253,10 +242,6 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
 
   aux->induced_link_mask_into(pair.first, net.num_links(), &sc->mask1);
   aux->induced_link_mask_into(pair.second, net.num_links(), &sc->mask2);
-  if (fp != nullptr && !fp->opaque) {
-    fp->add_exact_mask(sc->mask1);
-    fp->add_exact_mask(sc->mask2);
-  }
   net::Semilightpath p1;
   net::Semilightpath p2;
   optimal_semilightpath_into(net, s, t, sc->mask1, &sc->dp, &p1);

@@ -10,9 +10,9 @@
 // Pooling follows AuxGraphBuilderPool exactly: lease(net) prefers a
 // scratch whose builder (and with it the warm Suurballe trees, which live
 // against that builder's stable arena) is already bound to the same
-// network uid. ParallelBatchEngine workers route concurrently against
-// per-thread snapshot copies; the uid key hands each worker its own warm
-// scratch without any engine-side threading.
+// network uid. sim::replicate shares one router across parallel_for
+// replicas, each routing its own network copy; the uid key hands each
+// replica its own warm scratch without any caller-side threading.
 #pragma once
 
 #include <cstdint>

@@ -1,23 +1,16 @@
 // Shared-memory parallel loop helper for Monte-Carlo sweeps.
 //
 // Uses OpenMP when the build found it (ROBUSTWDM_HAVE_OPENMP), otherwise runs
-// serially. Library algorithms themselves are single-threaded and
-// thread-compatible; parallelism lives at the replication level (independent
-// simulation replicas / instances) or in the batch-provisioning engine
-// (rwa::ParallelBatchEngine, which manages its own std::thread pool at the
-// request grain).
+// serially; the thread count is OpenMP's own (OMP_NUM_THREADS). Library
+// algorithms themselves are single-threaded and thread-compatible;
+// parallelism lives at the replication level (independent simulation
+// replicas / instances), where the routers' uid-keyed scratch pools let one
+// shared router serve every replica.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <thread>
-
-#ifdef ROBUSTWDM_HAVE_OPENMP
-#include <omp.h>
-#endif
-
-#include "support/env.hpp"
 
 namespace wdm::support {
 
@@ -54,24 +47,6 @@ void parallel_for(std::size_t n, Body&& body) {
 #else
   for (std::size_t i = 0; i < n; ++i) body(i);
 #endif
-}
-
-/// Usable hardware parallelism: OpenMP's view when built with it, otherwise
-/// std::thread::hardware_concurrency() (so a non-OpenMP build on a 64-core
-/// box does not pretend to be serial). Never less than 1. The ROBUSTWDM_THREADS
-/// environment variable (parsed via support/env; malformed or non-positive
-/// values ignored) caps the result — the CI / container knob for bounding
-/// every parallel component at once.
-inline int hardware_threads() {
-  int n = 0;
-#ifdef ROBUSTWDM_HAVE_OPENMP
-  n = omp_get_max_threads();
-#endif
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  if (n <= 0) n = 1;
-  const std::int64_t cap = env_int("ROBUSTWDM_THREADS", 0);
-  if (cap > 0 && cap < static_cast<std::int64_t>(n)) n = static_cast<int>(cap);
-  return n;
 }
 
 }  // namespace wdm::support

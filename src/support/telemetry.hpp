@@ -21,12 +21,11 @@
 //
 // Determinism: counter values are a pure function of the work performed.
 // Counters under `sim.*` (and time series under `sim.series.*`) count
-// committed simulator outcomes and are identical for identical seeds
-// *regardless of thread count* (the parallel batch engine's
-// serial-equivalence guarantee). Counters under `rwa.parallel_batch.*`,
-// series under `rwa.series.*`, and all histogram/span timings depend on
-// scheduling and are not replay-stable; tests/test_telemetry.cpp pins down
-// the split.
+// committed simulator outcomes and are identical for identical seeds, in
+// route-on-arrival and batch mode alike. Series under `rwa.series.*` read
+// process-wide cache counters, and all histogram/span timings depend on
+// scheduling; they are not replay-stable. tests/test_telemetry.cpp pins
+// down the split.
 #pragma once
 
 #include <atomic>
@@ -207,7 +206,7 @@ void set_meta(std::string_view key, std::string_view value);
 std::map<std::string, std::string> meta_values();
 
 /// Names the calling thread for the Chrome trace export's per-thread tracks
-/// ("batch-worker-3", "commit"). Unnamed threads show as "thread-<id>".
+/// ("telemetry-stream"). Unnamed threads show as "thread-<id>".
 void set_thread_name(std::string_view name);
 
 /// Monotonic nanoseconds since the registry epoch (first telemetry call).
@@ -248,8 +247,8 @@ RequestCtx current_ctx();
 
 /// A completed span. `span_id` is process-unique; `parent_id` is 0 for trace
 /// roots; `flow_in`/`flow_out` carry Chrome trace flow-arrow bindings across
-/// threads (0 = none) — the parallel batch engine uses the speculation
-/// span's own id as the flow id for the speculate -> commit handoff.
+/// threads (0 = none): a producer span sets flow_out to its own id and the
+/// consuming span on another thread sets flow_in to the same id.
 struct SpanRecord {
   std::uint32_t name = 0;
   TraceId trace = 0;
@@ -305,7 +304,7 @@ bool write_file(const std::string& path);
 
 /// Writes the span/event data as a Chrome trace-event JSON document
 /// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1),
-/// flow arrows ("s"/"f") across the speculate -> commit handoff, and
+/// flow arrows ("s"/"f") for spans carrying flow ids, and
 /// sim-time point events as instants under a separate clock (pid 2).
 void write_chrome_trace(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
@@ -372,9 +371,9 @@ class StreamScope {
 #if ROBUSTWDM_TELEMETRY
 
 /// RAII: makes `ctx` the calling thread's request context (restores the
-/// previous one on destruction). The batch engine activates the request's
-/// ctx around speculative route() calls on worker threads so the resulting
-/// spans join the request's tree even across threads.
+/// previous one on destruction). A thread working for a request activates
+/// its ctx so the spans it records join the request's tree, whichever
+/// thread they run on.
 class TraceScope {
  public:
   explicit TraceScope(RequestCtx ctx) {
@@ -577,7 +576,7 @@ class SplitTimer {
 /// Dynamic-name counter increment: resolves the registry entry on *every*
 /// call (a mutex + map lookup), so each runtime-built name gets its own
 /// counter. ~100x the cost of WDM_TEL_COUNT_N — use only off the hot path
-/// (per-arm bench summaries, per-worker totals), and keep literal names on
+/// (per-arm bench summaries), and keep literal names on
 /// the cached macros.
 #define WDM_TEL_COUNT_DYN(name, n)                                  \
   do {                                                              \

@@ -18,10 +18,11 @@
 //     leave the arena's weights and patch feed as the last build left them.
 // (b) MinLoadRouter, LoadCostRouter and the three θ schedules against a
 //     hand-composed weighted ladder: a compact G_c(ϑ) build plus classic
-//     Suurballe per probe. ϑ, iterations and the probe list must match
-//     exactly; the routes must match hop for hop. The accepted-ϑ pair is
-//     drawn from a cold stable-arena build, as the routers draw it, because
-//     arc order decides Suurballe's ties.
+//     Suurballe per probe. ϑ and iterations must match exactly, and so must
+//     find_two_paths_mincog's probe list, which runs the routers' own
+//     find_mincog_threshold; the routes must match hop for hop. The
+//     accepted-ϑ pair is drawn from a cold stable-arena build, as the
+//     routers draw it, because arc order decides Suurballe's ties.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 4)).
@@ -43,7 +44,6 @@
 #include "graph/suurballe.hpp"
 #include "graph/suurballe_warm.hpp"
 #include "rwa/aux_graph.hpp"
-#include "rwa/footprint.hpp"
 #include "rwa/layered_graph.hpp"
 #include "rwa/loadcost_router.hpp"
 #include "rwa/mincog.hpp"
@@ -338,12 +338,10 @@ void compare_router(const rwa::Router& router, bool load_cost,
                     const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                     const Ladder& ladder, const std::string& ctx,
                     Tally* tally) {
-  rwa::RouteFootprint fp;
-  const rwa::RouteResult got = router.route(net, s, t, &fp);
+  const rwa::RouteResult got = router.route(net, s, t);
   std::ostringstream what;
   what << ctx << " " << router.name() << " (" << s << "->" << t << "): ";
   tally->check(got.theta_iterations == ladder.iterations &&
-                   fp.theta_probes == ladder.probes &&
                    (!ladder.found || got.theta == ladder.theta),
                what.str() + "router theta " + std::to_string(got.theta) +
                    " after " + std::to_string(got.theta_iterations) +

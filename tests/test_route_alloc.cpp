@@ -115,10 +115,10 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
 
   // Warmup: size the arena, the warm trees (one per source), the pooled
   // scratch buffers, and `out`'s hop vectors.
-  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
 
   AllocationProbe probe;
-  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
         << "steady-state route_into touched the heap";
@@ -138,11 +138,11 @@ TEST(RouteAlloc, SteadyStateRefinedRouteIntoIsAllocationFree) {
   const std::pair<net::NodeId, net::NodeId> queries[] = {
       {0, 7}, {3, 12}, {5, 9}, {1, 13}, {0, 7}, {10, 2}};
 
-  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
 
   AllocationProbe probe;
   for (const auto& [s, t] : queries) {
-    router.route_into(net, s, t, &out, nullptr);
+    router.route_into(net, s, t, &out);
     ASSERT_TRUE(out.found);
   }
   if (kStrict) {

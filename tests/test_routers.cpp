@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "rwa/approx_router.hpp"
 #include "rwa/baselines.hpp"
 #include "rwa/exact_router.hpp"
 #include "rwa/loadcost_router.hpp"
 #include "rwa/mincog.hpp"
+#include "rwa/node_disjoint_router.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "topology/network_builder.hpp"
@@ -302,6 +307,75 @@ TEST(RouterNames, AreDistinct) {
   EXPECT_NE(ApproxDisjointRouter().name(), MinLoadRouter().name());
   EXPECT_NE(MinLoadRouter().name(), LoadCostRouter().name());
   EXPECT_NE(UnprotectedRouter().name(), TwoStepRouter().name());
+}
+
+/// Equal doubles, or both NaN (θ and aux_cost default to NaN).
+bool same_value(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+// sim::replicate shares one const Router& across parallel_for replicas, each
+// routing its own copy of the network. The routers' uid-keyed scratch pools
+// must keep that invisible: every thread gets exactly the serial answers.
+TEST(RouterSharing, ConcurrentRouteMatchesSerial) {
+  constexpr int kThreads = 4;
+  const net::WdmNetwork base = topo::nsfnet_network(4, 0.5);
+  support::Rng rng(2024);
+  std::vector<std::pair<net::NodeId, net::NodeId>> queries;
+  while (queries.size() < 40) {
+    const auto n = static_cast<std::size_t>(base.num_nodes());
+    const auto s = static_cast<net::NodeId>(rng.index(n));
+    const auto t = static_cast<net::NodeId>(rng.index(n));
+    if (s != t) queries.emplace_back(s, t);
+  }
+  // Routes the queries in order on `net`, reserving every accepted pair, so
+  // later queries see the load of earlier ones and some are blocked.
+  auto run = [&](const Router& router, net::WdmNetwork net) {
+    std::vector<RouteResult> out;
+    for (const auto& [s, t] : queries) {
+      RouteResult r = router.route(net, s, t);
+      if (r.found && r.route.feasible(net)) r.route.reserve_in(net);
+      out.push_back(std::move(r));
+    }
+    return out;
+  };
+
+  const ApproxDisjointRouter approx;
+  const NodeDisjointRouter node_disjoint;
+  const LoadCostRouter load_cost;
+  const MinLoadRouter min_load;
+  for (const Router* router : std::initializer_list<const Router*>{
+           &approx, &node_disjoint, &load_cost, &min_load}) {
+    const std::vector<RouteResult> want = run(*router, base);
+    int found = 0;
+    for (const RouteResult& r : want) found += r.found ? 1 : 0;
+    EXPECT_GT(found, 0) << router->name();
+    EXPECT_LT(found, static_cast<int>(queries.size())) << router->name();
+
+    std::vector<std::vector<RouteResult>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] { got[i] = run(*router, base); });
+    }
+    for (std::thread& th : threads) th.join();
+
+    for (int i = 0; i < kThreads; ++i) {
+      ASSERT_EQ(got[i].size(), want.size());
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        const RouteResult& a = got[i][q];
+        const RouteResult& b = want[q];
+        const std::string ctx = router->name() + " thread " +
+                                std::to_string(i) + " query " +
+                                std::to_string(q);
+        EXPECT_EQ(a.found, b.found) << ctx;
+        EXPECT_EQ(a.route.primary.hops, b.route.primary.hops) << ctx;
+        EXPECT_EQ(a.route.backup.hops, b.route.backup.hops) << ctx;
+        EXPECT_EQ(a.theta_iterations, b.theta_iterations) << ctx;
+        EXPECT_TRUE(same_value(a.theta, b.theta)) << ctx;
+        EXPECT_TRUE(same_value(a.aux_cost, b.aux_cost)) << ctx;
+      }
+    }
+  }
 }
 
 }  // namespace

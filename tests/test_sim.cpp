@@ -190,6 +190,20 @@ TEST(Simulator, ThetaIterationsTrackedForLoadAwareRouter) {
   EXPECT_GE(m.theta_iterations.mean(), 1.0);
 }
 
+TEST(Simulator, BatchModeBalancesLedger) {
+  rwa::ApproxDisjointRouter router;
+  SimOptions opt = base_options(5.0, 30.0);
+  opt.seed = 8;
+  opt.traffic.mean_holding = 2.0;
+  opt.batching.interval = 0.5;
+  opt.restoration = RestorationMode::kPassive;  // backups released
+  Simulator sim(small_net(), router, opt);
+  const SimMetrics m = sim.run();
+  EXPECT_GT(m.offered, 0);
+  EXPECT_EQ(m.offered, m.accepted + m.blocked);
+  EXPECT_EQ(m.final_reserved_wavelength_links, 0);  // run() checks too
+}
+
 /// NSFNET with the first `groups` fiber pairs annotated as shared conduits.
 net::WdmNetwork srlg_net(int groups = 3) {
   net::WdmNetwork n = small_net();
@@ -273,29 +287,28 @@ TEST(SimulatorSrlg, GroupFailureIsAtomic) {
   EXPECT_EQ(m.final_reserved_wavelength_links, 0);
 }
 
-TEST(SimulatorSrlg, AvailabilityThreadCountInvariantUnderBatching) {
+TEST(SimulatorSrlg, AvailabilityReproducibleUnderBatching) {
   rwa::ApproxDisjointRouter router;
   SimOptions opt = base_options(10.0, 60.0);
   opt.failures.srlg_failure_rate = 0.2;
   opt.restoration = RestorationMode::kActive;
   opt.batching.interval = 0.5;
 
-  opt.batching.threads = 1;
-  Simulator one(srlg_net(), router, opt);
-  const SimMetrics m1 = one.run();
+  Simulator a(srlg_net(), router, opt);
+  const SimMetrics ma = a.run();
+  Simulator b(srlg_net(), router, opt);
+  const SimMetrics mb = b.run();
 
-  opt.batching.threads = 4;
-  Simulator four(srlg_net(), router, opt);
-  const SimMetrics m4 = four.run();
-
-  EXPECT_EQ(m1.offered, m4.offered);
-  EXPECT_EQ(m1.accepted, m4.accepted);
-  EXPECT_EQ(m1.blocked, m4.blocked);
-  EXPECT_EQ(m1.srlg_failures, m4.srlg_failures);
-  EXPECT_EQ(m1.availability.count(), m4.availability.count());
-  EXPECT_DOUBLE_EQ(m1.service_requested, m4.service_requested);
-  EXPECT_DOUBLE_EQ(m1.service_delivered, m4.service_delivered);
-  EXPECT_DOUBLE_EQ(m1.reliability(), m4.reliability());
+  EXPECT_GT(ma.srlg_failures, 0);
+  EXPECT_GT(ma.availability.count(), 0);
+  EXPECT_EQ(ma.offered, mb.offered);
+  EXPECT_EQ(ma.accepted, mb.accepted);
+  EXPECT_EQ(ma.blocked, mb.blocked);
+  EXPECT_EQ(ma.srlg_failures, mb.srlg_failures);
+  EXPECT_EQ(ma.availability.count(), mb.availability.count());
+  EXPECT_DOUBLE_EQ(ma.service_requested, mb.service_requested);
+  EXPECT_DOUBLE_EQ(ma.service_delivered, mb.service_delivered);
+  EXPECT_DOUBLE_EQ(ma.reliability(), mb.reliability());
 }
 
 TEST(SimulatorSrlg, PerfectNetworkDeliversFullAvailability) {

@@ -244,80 +244,59 @@ TEST_F(TelemetryTest, FlightRecorderRetainsOnlyRequestedTraces) {
 
 // ---------------------------------------------------------------------------
 // Determinism contract (DESIGN.md §8): sim.* counters are a pure function of
-// (topology, router, seed) — identical across runs and across engine thread
-// counts. rwa.parallel_batch.* and all timing data are scheduling-dependent
-// and carry no such guarantee.
+// (topology, router, seed) — identical across runs, batch mode included.
+// Timing data is scheduling-dependent and carries no such guarantee.
 
-sim::SimOptions batch_options(int threads) {
+sim::SimOptions batch_options() {
   sim::SimOptions opt;
   opt.traffic.arrival_rate = 12.0;
   opt.traffic.mean_holding = 1.0;
   opt.duration = 30.0;
   opt.seed = 11;
   opt.batching.interval = 0.5;
-  opt.batching.threads = threads;
   opt.series_interval = 2.0;
   return opt;
 }
 
-std::map<std::string, std::uint64_t> run_and_snapshot(int threads) {
+std::map<std::string, std::uint64_t> run_and_snapshot() {
   reset();
   rwa::ApproxDisjointRouter router;
-  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router,
-                     batch_options(threads));
+  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router, batch_options());
   (void)sim.run();
   return counter_values();
 }
 
-std::map<std::string, std::uint64_t> sim_subset(
-    const std::map<std::string, std::uint64_t>& all) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [k, v] : all) {
-    if (k.rfind("sim.", 0) == 0) out.emplace(k, v);
-  }
-  return out;
-}
-
 TEST_F(TelemetryTest, CountersDeterministicAcrossRuns) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto a = run_and_snapshot(/*threads=*/1);
-  const auto b = run_and_snapshot(/*threads=*/1);
+  const auto a = run_and_snapshot();
+  const auto b = run_and_snapshot();
   EXPECT_EQ(a, b);
   EXPECT_GT(a.at("sim.offered"), 0u);
 }
 
-TEST_F(TelemetryTest, SimCountersDeterministicAcrossThreadCounts) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto serial = run_and_snapshot(/*threads=*/1);
-  const auto parallel = run_and_snapshot(/*threads=*/4);
-  EXPECT_EQ(sim_subset(serial), sim_subset(parallel));
-}
-
-std::map<std::string, std::vector<std::pair<double, double>>> sim_series(
-    int threads) {
+std::map<std::string, std::vector<std::pair<double, double>>> sim_series() {
   reset();
   rwa::ApproxDisjointRouter router;
-  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router,
-                     batch_options(threads));
+  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router, batch_options());
   (void)sim.run();
   std::map<std::string, std::vector<std::pair<double, double>>> out;
   for (auto& [k, v] : series_values()) {
     // sim.series.* samples state at simulation-time boundaries, so it shares
     // the determinism contract of sim.* counters. rwa.series.* (cache hit
-    // rate, commit latency) depends on scheduling and is excluded.
+    // rate) reads process-wide counters and is excluded.
     if (k.rfind("sim.series.", 0) == 0) out.emplace(k, std::move(v));
   }
   return out;
 }
 
-TEST_F(TelemetryTest, SimSeriesInvariantAcrossThreadCounts) {
+TEST_F(TelemetryTest, SimSeriesDeterministicAcrossRuns) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto serial = sim_series(/*threads=*/1);
-  const auto parallel = sim_series(/*threads=*/4);
-  ASSERT_FALSE(serial.empty());
-  ASSERT_TRUE(serial.count("sim.series.load_rho"));
-  EXPECT_GT(serial.at("sim.series.load_rho").size(), 5u);
-  EXPECT_EQ(serial, parallel);
+  const auto first = sim_series();
+  const auto second = sim_series();
+  ASSERT_FALSE(first.empty());
+  ASSERT_TRUE(first.count("sim.series.load_rho"));
+  EXPECT_GT(first.at("sim.series.load_rho").size(), 5u);
+  EXPECT_EQ(first, second);
 }
 
 // ---------------------------------------------------------------------------
