@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
         std::vector<rwa::BatchRequest> batch;
         for (int i = 0; i < batch_size; ++i) {
           rwa::BatchRequest r;
-          r.id = i;
           r.s = static_cast<net::NodeId>(rng.uniform_int(0, 13));
           r.t = r.s;
           while (r.t == r.s) {

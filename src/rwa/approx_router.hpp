@@ -46,7 +46,7 @@ class ApproxDisjointRouter final : public Router {
   /// Recycled-result entry point: fills `*out` in place (capacity kept via
   /// RouteResult::reset_keep_capacity). Under the kFull policy a warm
   /// steady-state call performs zero heap allocations end to end, with or
-  /// without refinement: stable-arena aux build, warm-tree Suurballe,
+  /// without refinement: stable-arena aux build, allocation-free Suurballe,
   /// pooled projection buffers, and either in-place first-fit assignment or
   /// the Liang–Shen path DP writing into the recycled paths
   /// (tests/test_route_alloc.cpp holds the line). A refinement mask that is
@@ -63,10 +63,10 @@ class ApproxDisjointRouter final : public Router {
  private:
   bool refine_;
   net::ProtectPolicy policy_;
-  /// Warm per-route scratches (aux builder + Suurballe engine + buffers)
-  /// reused across route() calls; a pool (rather than one scratch) keeps
-  /// concurrent route() calls safe, keyed so each caller's network gets its
-  /// own warm state back.
+  /// Per-route scratches (aux builder + Suurballe engine + buffers) reused
+  /// across route() calls; a pool (rather than one scratch) keeps concurrent
+  /// route() calls safe, keyed so each caller's network gets its own warm
+  /// builder caches back.
   mutable RouteScratchPool scratch_;
 };
 

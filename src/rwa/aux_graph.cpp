@@ -488,23 +488,6 @@ void AuxGraphBuilder::stable_structure(const net::WdmNetwork& net,
   uni_protect_ = protect;
   uni_ready_ = true;
   uni_weights_valid_ = false;
-  ++uni_gen_;
-  // Dirty-hint log: a fresh structure starts a fresh epoch (all weights are
-  // about to be repatched anyway). The cap bounds both consumer scan work
-  // and memory; reserving it here keeps steady-state appends allocation-free.
-  patch_log_cap_ = std::max<std::size_t>(1024, num_arcs / 8);
-  patch_log_.clear();
-  patch_log_.reserve(patch_log_cap_);
-  patch_overflow_ = false;
-  ++patch_epoch_;
-}
-
-void AuxGraphBuilder::log_patch(graph::EdgeId begin, graph::EdgeId count) {
-  if (patch_log_.size() < patch_log_cap_) {
-    patch_log_.push_back({begin, count});
-  } else {
-    patch_overflow_ = true;
-  }
 }
 
 void AuxGraphBuilder::stable_patch_link(const net::WdmNetwork& net,
@@ -547,9 +530,6 @@ void AuxGraphBuilder::stable_patch_link(const net::WdmNetwork& net,
       (usable && pg.tail(e) == s) ? 0.0 : graph::kInf;
   aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
       (usable && pg.head(e) == t) ? 0.0 : graph::kInf;
-  log_patch(e, 1);
-  log_patch(uni_sprime_arc_base_ + e, 1);
-  log_patch(uni_tsec_arc_base_ + e, 1);
   const bool was = uni_usable_[i] != 0;
   if (was != usable) {
     aux_.num_link_arcs += usable ? 1 : -1;
@@ -571,10 +551,6 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
   const bool protect = opt.protect_nodes;
   const bool pair_enabled = !protect || v == s || v == t;
 
-  if (in_edges.size() * out_deg > 0) {
-    log_patch(static_cast<graph::EdgeId>(static_cast<std::size_t>(m) + base),
-              static_cast<graph::EdgeId>(in_edges.size() * out_deg));
-  }
   int contrib = 0;
   double hub_sum = 0.0;
   int hub_pairs = 0;
@@ -616,14 +592,12 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
       ++contrib;
     }
     aux_.w[static_cast<std::size_t>(uni_hub_arc_base_ + v)] = hub_weight;
-    log_patch(uni_hub_arc_base_ + v, 1);
     for (const EdgeId e : in_edges) {
       const EdgeId fan = uni_fan_in_arc_[static_cast<std::size_t>(e)];
       aux_.w[static_cast<std::size_t>(fan)] =
           (hub_on && uni_usable_[static_cast<std::size_t>(e)] != 0)
               ? 0.0
               : graph::kInf;
-      log_patch(fan, 1);
     }
     for (const EdgeId e2 : out_edges) {
       const EdgeId fan = uni_fan_out_arc_[static_cast<std::size_t>(e2)];
@@ -631,7 +605,6 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
           (hub_on && uni_usable_[static_cast<std::size_t>(e2)] != 0)
               ? 0.0
               : graph::kInf;
-      log_patch(fan, 1);
     }
   }
   aux_.num_transit_arcs += contrib - uni_node_transit_[static_cast<std::size_t>(v)];
@@ -729,15 +702,6 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
       uni_node_mark_[static_cast<std::size_t>(v)] = 0;
       stable_patch_node(net, v, s, t, opt);
     }
-  }
-
-  // A full repatch (or an overflowed log) means the spans no longer cover
-  // everything that changed this epoch — end it so hint consumers fall
-  // back to a full diff once, then resync.
-  if (full || patch_overflow_) {
-    ++patch_epoch_;
-    patch_log_.clear();
-    patch_overflow_ = false;
   }
 
   uni_opt_ = opt;

@@ -32,7 +32,6 @@
 
 #include "graph/digraph.hpp"
 #include "graph/path.hpp"
-#include "graph/suurballe_warm.hpp"
 #include "wdm/network.hpp"
 
 namespace wdm::rwa {
@@ -190,11 +189,10 @@ class AuxGraphBuilder {
   /// (mask, residual availability, the strict or inclusive ϑ filter of
   /// G_c / G_rc), transit arcs open through the revision-checked
   /// conversion-mean cache, and two BFS augmentations over the CSR decide
-  /// whether a unit-capacity flow of 2 exists. No arc weight and no
-  /// patch-log entry is written: a later stable-arena build, and a
-  /// SuurballeEngine fed by patch_feed(), find the arena as the last build
-  /// left it. A graph returned by an earlier *compact* build is replaced by
-  /// the universe. Allocation-free once the universe is sized. The
+  /// whether a unit-capacity flow of 2 exists. No arc weight is written: a
+  /// later stable-arena build finds the arena as the last build left it. A
+  /// graph returned by an earlier *compact* build is replaced by the
+  /// universe. Allocation-free once the universe is sized. The
   /// node-protection gadget is not supported (opt.protect_nodes must be
   /// false).
   bool has_disjoint_pair(const net::WdmNetwork& net, net::NodeId s,
@@ -213,25 +211,6 @@ class AuxGraphBuilder {
   /// last — the difference between a warm rebuild and a full rebind when
   /// replicas sharing one router interleave their networks (sim::replicate).
   std::uint64_t bound_uid() const { return net_uid_; }
-
-  /// Monotone counter bumped every time the stable-arena *structure* (node
-  /// and arc tables) is materialized. While it holds still, arc ids in the
-  /// universe graph keep their meaning across builds — the invariant that
-  /// lets a graph::SuurballeEngine keep warm trees against the arena. A
-  /// caller pairing this builder with such an engine must invalidate() the
-  /// engine whenever this value moves (RouteScratch does).
-  std::uint64_t stable_structure_generation() const { return uni_gen_; }
-
-  /// Dirty hints for a paired graph::SuurballeEngine: every weight the
-  /// stable-arena path has patched since the current epoch began, as arc
-  /// spans in append order. The epoch moves whenever span coverage lapses
-  /// (structure rebuild, full repatch, log overflow) — consumers holding a
-  /// cursor from an older epoch must fall back to a full diff. Capture the
-  /// feed *after* build(); it then covers exactly the patches between the
-  /// previous build and this one.
-  graph::WeightPatchFeed patch_feed() const {
-    return {patch_epoch_, std::span<const graph::WeightPatchSpan>(patch_log_)};
-  }
 
   struct CacheStats {
     std::uint64_t builds = 0;
@@ -300,15 +279,6 @@ class AuxGraphBuilder {
   // bound topology and the protect flag; weights are patched per build.
   bool uni_ready_ = false;
   bool uni_protect_ = false;
-  std::uint64_t uni_gen_ = 0;       // bumped on every structure rebuild
-  // Weight-patch log for engine dirty hints (see patch_feed()). Bounded by
-  // patch_log_cap_: appends past it set the overflow flag and build_stable
-  // ends the epoch, so the reserve in stable_structure is never exceeded.
-  void log_patch(graph::EdgeId begin, graph::EdgeId count);
-  std::vector<graph::WeightPatchSpan> patch_log_;
-  std::uint64_t patch_epoch_ = 0;
-  std::size_t patch_log_cap_ = 0;
-  bool patch_overflow_ = false;
   bool uni_weights_valid_ = false;  // false until the first weight patch
   bool uni_had_mask_ = false;       // last build used a link_enabled mask
   AuxGraphOptions uni_opt_;         // options of the last weight patch

@@ -22,7 +22,6 @@ namespace wdm::rwa {
 struct BatchRequest {
   net::NodeId s = 0;
   net::NodeId t = 0;
-  long id = 0;
 };
 
 /// Hop value assigned to requests whose destination is unreachable from the

@@ -26,7 +26,7 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
 
   // Phase 1: minimum feasible network-load threshold. The probes only test
   // for a disjoint pair and write no arc weight, so phase 2 finds the stable
-  // arena (and the warm Suurballe trees) as the last G_rc build left them.
+  // arena as the last G_rc build left it.
   const MinCogResult mc =
       find_mincog_threshold(net, s, t, opt_, sc->builder);
   result.theta = mc.theta;
@@ -47,7 +47,6 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   aopt.grc_mean_over_available = grc_mean_over_available_;
   aopt.stable_arena = true;
   const AuxGraph& aux = sc->builder.build(net, s, t, aopt);
-  sc->sync_suurballe_generation();
   tel.split(WDM_TEL_HIST("rwa.loadcost.aux_build_ns"),
             WDM_TEL_NAME("rwa.loadcost.aux_build"));
   if (srlg_path) {
@@ -55,10 +54,8 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {
-    const graph::WeightPatchFeed feed = sc->builder.patch_feed();
     sc->suurballe.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                             /*tree_key=*/static_cast<std::uint64_t>(s),
-                             &sc->pair, &feed);
+                             &sc->pair);
   }
   graph::DisjointPair& pair = sc->pair;
   tel.split(WDM_TEL_HIST("rwa.loadcost.suurballe_ns"),

@@ -43,8 +43,7 @@ class LoadCostRouter final : public Router {
   net::ProtectPolicy policy_;
   /// One leased scratch serves both phases of a route() call: the G_c(ϑ)
   /// feasibility probes and the final G_rc(ϑ) share the builder's stable
-  /// arena and conversion-mean cache, and phase 2 reuses the warm Suurballe
-  /// trees.
+  /// arena and conversion-mean cache.
   mutable RouteScratchPool scratch_;
 };
 

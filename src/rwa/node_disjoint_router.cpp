@@ -29,7 +29,6 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
   opt.stable_arena = true;
   auto sc = scratch_.lease(net);
   const AuxGraph& aux = sc->builder.build(net, s, t, opt);
-  sc->sync_suurballe_generation();
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.aux_build_ns"),
             WDM_TEL_NAME("rwa.node_disjoint.aux_build"));
 
@@ -38,10 +37,8 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {
-    const graph::WeightPatchFeed feed = sc->builder.patch_feed();
     sc->suurballe.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                             /*tree_key=*/static_cast<std::uint64_t>(s),
-                             &sc->pair, &feed);
+                             &sc->pair);
   }
   graph::DisjointPair& pair = sc->pair;
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.suurballe_ns"),

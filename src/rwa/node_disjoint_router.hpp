@@ -30,8 +30,8 @@ class NodeDisjointRouter final : public Router {
 
  private:
   net::ProtectPolicy policy_;
-  /// Warm per-route scratches (stable-arena builder + warm-tree Suurballe),
-  /// keyed by network uid like every router's pool.
+  /// Per-route scratches (stable-arena builder + Suurballe engine), keyed by
+  /// network uid like every router's pool.
   mutable RouteScratchPool scratch_;
 };
 

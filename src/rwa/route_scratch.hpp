@@ -1,18 +1,17 @@
 // Pooled per-route scratch state — the allocation-free routing hot path.
 //
-// Every router used to lease only an AuxGraphBuilder; the remaining
-// per-request allocations (Suurballe's dist/pred/heap arrays, projection
-// vectors, induced-subgraph masks, the DisjointPair result) were rebuilt
-// per call. RouteScratch bundles all of them, recycled via the
-// clear_keep_capacity idiom, so a steady-state route() touches the heap
+// RouteScratch bundles everything a route() needs per request: the
+// stable-arena aux-graph builder, the Suurballe engine (heap, round-1
+// labels, round-2 arrays), projection vectors, induced-subgraph masks, the
+// DisjointPair result and the Liang–Shen path-DP buffers, all recycled via
+// the clear_keep_capacity idiom, so a steady-state route() touches the heap
 // zero times (verified by tests/test_route_alloc.cpp's counting hook).
 //
 // Pooling follows AuxGraphBuilderPool exactly: lease(net) prefers a
-// scratch whose builder (and with it the warm Suurballe trees, which live
-// against that builder's stable arena) is already bound to the same
-// network uid. sim::replicate shares one router across parallel_for
-// replicas, each routing its own network copy; the uid key hands each
-// replica its own warm scratch without any caller-side threading.
+// scratch whose builder caches are already bound to the same network uid.
+// sim::replicate shares one router across parallel_for replicas, each
+// routing its own network copy; the uid key hands each replica its own
+// warm builder without any caller-side threading.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "graph/suurballe.hpp"
-#include "graph/suurballe_warm.hpp"
 #include "rwa/aux_graph.hpp"
 #include "rwa/layered_graph.hpp"
 #include "wdm/semilightpath.hpp"
@@ -41,23 +39,6 @@ struct RouteScratch {
 
   /// uid() of the network the builder caches are bound to (0 = unbound).
   std::uint64_t bound_uid() const { return builder.bound_uid(); }
-
-  /// Warm trees in `suurballe` are only meaningful while the builder's
-  /// stable-arena arc ids keep their meaning. Call after every build(): drops
-  /// the trees iff the structure was rebuilt since the last solve (different
-  /// network leased this scratch, topology changed, protect flag flipped...).
-  /// Engine-side shape checks can't catch this — two different topologies
-  /// with equal node/arc counts produce identically-shaped universes.
-  void sync_suurballe_generation() {
-    const std::uint64_t gen = builder.stable_structure_generation();
-    if (gen != suurballe_gen_) {
-      suurballe.invalidate();
-      suurballe_gen_ = gen;
-    }
-  }
-
- private:
-  std::uint64_t suurballe_gen_ = 0;
 };
 
 /// Thread-safe LIFO pool of scratches, keyed like AuxGraphBuilderPool.
@@ -87,8 +68,8 @@ class RouteScratchPool {
   RouteScratchPool& operator=(const RouteScratchPool&) = delete;
 
   Lease lease();
-  /// Keyed lease: exact uid match first (warm builder caches and Suurballe
-  /// trees), then a never-bound scratch, then LIFO.
+  /// Keyed lease: exact uid match first (warm builder caches), then a
+  /// never-bound scratch, then LIFO.
   Lease lease(const net::WdmNetwork& net);
   std::size_t idle_count() const;
 

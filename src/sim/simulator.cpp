@@ -308,7 +308,7 @@ void Simulator::handle_batch_provision(double now) {
   std::vector<rwa::BatchRequest> batch;
   batch.reserve(pending_.size());
   for (const PendingRequest& p : pending_) {
-    batch.push_back({p.s, p.t, static_cast<long>(batch.size())});
+    batch.push_back({p.s, p.t});
   }
   const rwa::BatchOutcome outcome = rwa::provision_batch(
       net_, router_, batch, opt_.batching.order, &rng_);

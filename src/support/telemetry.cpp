@@ -500,7 +500,7 @@ void record_span(std::uint32_t name_id, std::uint64_t start_ns,
                  std::uint64_t dur_ns) {
   const RequestCtx ctx = detail::tls_ctx();
   record_span({name_id, ctx.trace, detail::new_span_id(), ctx.parent_span,
-               start_ns, dur_ns, 0, 0});
+               start_ns, dur_ns});
 }
 
 void record_event(std::uint32_t name_id, double t) {
@@ -688,7 +688,7 @@ void write_json(std::ostream& out) {
       json_escape(out, r.names[s.name]);
       out << "\", \"thread\": " << tb->thread_id << ", \"trace\": " << s.trace
           << ", \"span\": " << s.span_id << ", \"parent\": " << s.parent_id
-          << ", \"flow_in\": " << s.flow_in << ", \"flow_out\": " << s.flow_out
+          << ", \"flow_in\": 0, \"flow_out\": 0"
           << ", \"start_ns\": " << s.start_ns << ", \"dur_ns\": " << s.dur_ns
           << " }";
       first = false;
@@ -772,23 +772,6 @@ void write_chrome_trace(std::ostream& out) {
           << ", \"dur\": " << to_us(s.dur_ns)
           << ", \"args\": {\"trace\": " << s.trace << ", \"span\": "
           << s.span_id << ", \"parent\": " << s.parent_id << "}}";
-      // Flow arrows: the producer's "s" binds at this span's end, the
-      // consumer's "f" (binding point "enclosing") at its start — drawn by
-      // Perfetto as an arrow across a cross-thread handoff.
-      if (s.flow_out != 0) {
-        sep();
-        out << "{\"name\": \"handoff\", \"cat\": \"flow\", \"ph\": \"s\", "
-               "\"id\": "
-            << s.flow_out << ", \"pid\": 1, \"tid\": " << tb->thread_id
-            << ", \"ts\": " << to_us(s.start_ns + s.dur_ns) << "}";
-      }
-      if (s.flow_in != 0) {
-        sep();
-        out << "{\"name\": \"handoff\", \"cat\": \"flow\", \"ph\": \"f\", "
-               "\"bp\": \"e\", \"id\": "
-            << s.flow_in << ", \"pid\": 1, \"tid\": " << tb->thread_id
-            << ", \"ts\": " << to_us(s.start_ns) << "}";
-      }
     });
     for_each_event(*tb, [&](const ThreadBuffer::Event& e) {
       sep();

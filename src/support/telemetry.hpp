@@ -5,7 +5,7 @@
 // tools/telemetry_check; v1 dumps remain readable by the checker). Span data
 // can additionally be exported in Chrome trace-event format
 // (write_chrome_trace), loadable by Perfetto / chrome://tracing, with
-// per-thread tracks and flow arrows across cross-thread handoffs.
+// per-thread tracks.
 //
 // Cost contract (enforced by E18/E19 / CI):
 //   * compiled out (-DROBUSTWDM_TELEMETRY=OFF): every macro below expands to
@@ -246,9 +246,7 @@ void check_static_name(const std::string& cached, std::string_view now);
 RequestCtx current_ctx();
 
 /// A completed span. `span_id` is process-unique; `parent_id` is 0 for trace
-/// roots; `flow_in`/`flow_out` carry Chrome trace flow-arrow bindings across
-/// threads (0 = none): a producer span sets flow_out to its own id and the
-/// consuming span on another thread sets flow_in to the same id.
+/// roots.
 struct SpanRecord {
   std::uint32_t name = 0;
   TraceId trace = 0;
@@ -256,8 +254,6 @@ struct SpanRecord {
   std::uint64_t parent_id = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
-  std::uint64_t flow_in = 0;
-  std::uint64_t flow_out = 0;
 };
 
 /// Per-thread ring-buffer capacity for spans and for events. Past this,
@@ -303,8 +299,7 @@ void write_json(std::ostream& out);
 bool write_file(const std::string& path);
 
 /// Writes the span/event data as a Chrome trace-event JSON document
-/// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1),
-/// flow arrows ("s"/"f") for spans carrying flow ids, and
+/// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1) and
 /// sim-time point events as instants under a separate clock (pid 2).
 void write_chrome_trace(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
@@ -414,15 +409,9 @@ class ScopedSpan {
   ~ScopedSpan() {
     if (on_) {
       detail::tls_ctx().parent_span = parent_;
-      record_span({name_, trace_, id_, parent_, t0_, now_ns() - t0_, flow_in_,
-                   flow_out_});
+      record_span({name_, trace_, id_, parent_, t0_, now_ns() - t0_});
     }
   }
-
-  /// 0 when telemetry is disabled — flow_*(0) means "no arrow".
-  std::uint64_t span_id() const { return id_; }
-  void flow_in(std::uint64_t id) { flow_in_ = id; }
-  void flow_out(std::uint64_t id) { flow_out_ = id; }
 
  private:
   bool on_;
@@ -431,8 +420,6 @@ class ScopedSpan {
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t t0_ = 0;
-  std::uint64_t flow_in_ = 0;
-  std::uint64_t flow_out_ = 0;
 };
 
 #else  // !ROBUSTWDM_TELEMETRY — inert twins so call sites compile unchanged.
@@ -449,9 +436,6 @@ class ScopedSpan {
   explicit ScopedSpan(std::uint32_t) {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-  std::uint64_t span_id() const { return 0; }
-  void flow_in(std::uint64_t) {}
-  void flow_out(std::uint64_t) {}
 };
 
 #endif  // ROBUSTWDM_TELEMETRY
@@ -596,8 +580,8 @@ class SplitTimer {
     }                                                               \
   } while (0)
 
-/// RAII wall-clock span named `name` for the rest of the scope. `var` is a
-/// ScopedSpan: call var.flow_in/flow_out/span_id for flow arrows.
+/// RAII wall-clock span named `name` for the rest of the scope, held in the
+/// ScopedSpan `var`.
 #define WDM_TEL_SPAN(var, name)                                     \
   static const std::uint32_t wdm_tel_span_id_##var =                \
       ::wdm::support::telemetry::intern(name);                      \

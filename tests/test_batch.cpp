@@ -15,7 +15,6 @@ std::vector<BatchRequest> random_batch(int count, int n, std::uint64_t seed) {
   std::vector<BatchRequest> batch;
   for (int i = 0; i < count; ++i) {
     BatchRequest r;
-    r.id = i;
     r.s = static_cast<net::NodeId>(rng.uniform_int(0, n - 1));
     r.t = r.s;
     while (r.t == r.s) {
@@ -121,9 +120,9 @@ TEST(Batch, HopOrderingObservableUnderContention) {
     return n;
   };
   const std::vector<BatchRequest> batch = {
-      {0, 2, 0},  // 2 hops
-      {0, 3, 1},  // unreachable: kUnreachableHops
-      {0, 1, 2},  // 1 hop
+      {0, 2},  // 2 hops
+      {0, 3},  // unreachable: kUnreachableHops
+      {0, 1},  // 1 hop
   };
   ApproxDisjointRouter router;
 
@@ -153,8 +152,8 @@ TEST(Batch, UnreachableSortsLastUnderShortestFirst) {
   n.add_link(0, 1, net::WavelengthSet::all(1), 1.0);
   // 40 unreachable requests ahead of one routable one in arrival order.
   std::vector<BatchRequest> batch;
-  for (int i = 0; i < 40; ++i) batch.push_back({0, 2, i});
-  batch.push_back({0, 1, 40});
+  for (int i = 0; i < 40; ++i) batch.push_back({0, 2});
+  batch.push_back({0, 1});
   ApproxDisjointRouter router;
   const BatchOutcome out =
       provision_batch(n, router, batch, BatchOrder::kShortestFirst);

@@ -1,6 +1,6 @@
 // The zero-allocation guarantee of the routing hot path, enforced by a
 // counting global operator new: after a warmup request has sized the stable
-// arena, the warm Suurballe trees, and every pooled scratch buffer, a
+// arena, the Suurballe engine's scratch, and every pooled scratch buffer, a
 // steady-state ApproxDisjointRouter::route_into (kFull policy, refinement
 // off or on) must touch the heap ZERO times, and so must the θ search's
 // feasibility probe (AuxGraphBuilder::has_disjoint_pair). The hook counts
@@ -18,7 +18,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "graph/suurballe_warm.hpp"
+#include "graph/suurballe.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
 #include "topology/network_builder.hpp"
@@ -113,8 +113,8 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
   const std::pair<net::NodeId, net::NodeId> queries[] = {
       {0, 7}, {3, 12}, {5, 9}, {1, 13}, {0, 7}, {10, 2}};
 
-  // Warmup: size the arena, the warm trees (one per source), the pooled
-  // scratch buffers, and `out`'s hop vectors.
+  // Warmup: size the arena, the engine's scratch, the pooled scratch
+  // buffers, and `out`'s hop vectors.
   for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
 
   AllocationProbe probe;
@@ -154,7 +154,7 @@ TEST(RouteAlloc, SteadyStateRefinedRouteIntoIsAllocationFree) {
   }
 }
 
-TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
+TEST(RouteAlloc, StableArenaRebuildAndEngineSolveAreAllocationFree) {
   net::WdmNetwork net = topo::nsfnet_network(/*W=*/8, 0.25);
   rwa::AuxGraphBuilder builder;
   graph::SuurballeEngine engine;
@@ -164,13 +164,11 @@ TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
 
   auto one_request = [&](net::NodeId s, net::NodeId t) {
     const rwa::AuxGraph& aux = builder.build(net, s, t, opt);
-    engine.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                      static_cast<std::uint64_t>(s), &pair);
+    engine.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second, &pair);
   };
   // A state-neutral churn cycle: reserve, route, release, route. Each cycle
   // ends with the network back in its starting state, so every cycle after
-  // the first replays identical weight diffs through identically-sized
-  // repair scratch buffers.
+  // the first replays identical weight patches and solves.
   auto cycle = [&] {
     const net::Wavelength l0 = net.available(0).lowest();
     net.reserve(0, l0);
@@ -183,14 +181,14 @@ TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
     net.release(1, l1);
     one_request(3, 12);
   };
-  cycle();  // sizes the arena, trees, and repair scratch
+  cycle();  // sizes the arena and the engine's scratch
   cycle();  // confirms the steady state is reachable
 
   AllocationProbe probe;
   cycle();
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
-        << "arena rebuild / warm solve touched the heap";
+        << "arena rebuild / engine solve touched the heap";
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only";
   }

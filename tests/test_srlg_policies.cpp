@@ -54,7 +54,6 @@ std::vector<BatchRequest> random_batch(int count, net::NodeId n,
   std::vector<BatchRequest> batch;
   for (int i = 0; i < count; ++i) {
     BatchRequest r;
-    r.id = i;
     r.s = static_cast<net::NodeId>(rng.uniform_int(0, n - 1));
     r.t = r.s;
     while (r.t == r.s) {

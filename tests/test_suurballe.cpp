@@ -236,5 +236,157 @@ TEST(SuurballeNodeDisjoint, CostsMappedBackToOriginalWeights) {
   EXPECT_DOUBLE_EQ(pair.total_cost(), 10.0);  // 1+2 and 3+4
 }
 
+// --- SuurballeEngine: the routers' allocation-free solver -----------------
+//
+// Every engine solve is cold, so the engine's contract is that reusing one
+// instance is invisible: a long-lived engine returns a DisjointPair bit for
+// bit identical (edges, per-path costs) to a fresh engine on the same
+// instance, which checks that the retained scratch is clean between solves.
+// Feasibility and total cost agree with suurballe(); the edges may differ
+// under cost ties, where the engine follows its stated canonical p1 rule.
+
+void expect_bitwise(const DisjointPair& a, const DisjointPair& b) {
+  ASSERT_EQ(a.found, b.found);
+  if (!a.found) return;
+  EXPECT_EQ(a.first.edges, b.first.edges);
+  EXPECT_EQ(a.second.edges, b.second.edges);
+  EXPECT_EQ(a.first.cost, b.first.cost);
+  EXPECT_EQ(a.second.cost, b.second.cost);
+}
+
+/// The classic two-diamond graph: two edge-disjoint 0 -> 3 paths exist and
+/// Suurballe must trade the naive shortest path away to find them.
+struct Diamond {
+  Digraph g{4};
+  std::vector<double> w;
+  Diamond() {
+    auto add = [&](NodeId a, NodeId b, double weight) {
+      g.add_edge(a, b);
+      w.push_back(weight);
+    };
+    add(0, 1, 1.0);  // e0
+    add(1, 3, 1.0);  // e1
+    add(0, 2, 2.0);  // e2
+    add(2, 3, 2.0);  // e3
+    add(1, 2, 0.1);  // e4 — tempts the shortest path through both branches
+  }
+};
+
+DisjointPair fresh_solve(const Digraph& g, const std::vector<double>& w,
+                         NodeId s, NodeId t) {
+  SuurballeEngine fresh;
+  return fresh.solve(g, w, s, t);
+}
+
+TEST(SuurballeEngine, MatchesClassicOnFirstSolve) {
+  Diamond d;
+  SuurballeEngine eng;
+  const DisjointPair pair = eng.solve(d.g, d.w, 0, 3);
+  const DisjointPair classic = suurballe(d.g, d.w, 0, 3);
+  ASSERT_TRUE(pair.found);
+  ASSERT_EQ(classic.found, pair.found);
+  EXPECT_DOUBLE_EQ(classic.total_cost(), pair.total_cost());
+}
+
+TEST(SuurballeEngine, EqualCostTieTakesMinimumTightArc) {
+  // Three arc-disjoint 0 -> 4 paths of cost 2: C = 0-1-4, B = 0-2-4,
+  // A = 0-3-4. Node 0's out-arcs are listed C, B, A, so Dijkstra first
+  // reaches 4 through C; the in-arcs of 4 are listed A, B, C, so the
+  // minimum-id tight in-arc is A's. The canonical rule therefore takes
+  // p1 = A, and round 2 (whose heap pops the first-pushed of equal keys)
+  // adds C. A maximum-id rule would take p1 = C and pair it with B.
+  Digraph g(5);
+  g.add_edge(0, 1);  // e0  C
+  g.add_edge(0, 2);  // e1  B
+  g.add_edge(0, 3);  // e2  A
+  g.add_edge(3, 4);  // e3  A
+  g.add_edge(2, 4);  // e4  B
+  g.add_edge(1, 4);  // e5  C
+  const std::vector<double> w(6, 1.0);
+  SuurballeEngine eng;
+  const DisjointPair pair = eng.solve(g, w, 0, 4);
+  ASSERT_TRUE(pair.found);
+  EXPECT_EQ(pair.first.edges, (std::vector<EdgeId>{2, 3}));
+  EXPECT_EQ(pair.second.edges, (std::vector<EdgeId>{0, 5}));
+  EXPECT_EQ(pair.first.cost, 2.0);
+  EXPECT_EQ(pair.second.cost, 2.0);
+  // The classic implementation breaks this tie by pop order instead; only
+  // the optimum is shared.
+  EXPECT_EQ(suurballe(g, w, 0, 4).total_cost(), pair.total_cost());
+}
+
+TEST(SuurballeEngine, ReusedEngineMatchesFreshAfterWeightIncrease) {
+  Diamond d;
+  SuurballeEngine eng;
+  eng.solve(d.g, d.w, 0, 3);
+  // e0 sits on the round-1 shortest path; raising it moves p1.
+  d.w[0] = 5.0;
+  expect_bitwise(fresh_solve(d.g, d.w, 0, 3), eng.solve(d.g, d.w, 0, 3));
+}
+
+TEST(SuurballeEngine, ReusedEngineMatchesFreshAfterWeightDecrease) {
+  Diamond d;
+  SuurballeEngine eng;
+  eng.solve(d.g, d.w, 0, 3);
+  // e2 is off the round-1 path to 3; making it nearly free reroutes.
+  d.w[2] = 0.01;
+  expect_bitwise(fresh_solve(d.g, d.w, 0, 3), eng.solve(d.g, d.w, 0, 3));
+}
+
+TEST(SuurballeEngine, InfeasibleThenFeasibleAgain) {
+  Diamond d;
+  SuurballeEngine eng;
+  ASSERT_TRUE(eng.solve(d.g, d.w, 0, 3).found);
+  // Price one branch out entirely: only one finite path remains, so no
+  // disjoint pair. (kInf arcs are how the stable arena disables links.)
+  const double save2 = d.w[2];
+  const double save3 = d.w[3];
+  d.w[2] = kInf;
+  d.w[3] = kInf;
+  EXPECT_FALSE(eng.solve(d.g, d.w, 0, 3).found);
+  d.w[2] = save2;
+  d.w[3] = save3;
+  expect_bitwise(fresh_solve(d.g, d.w, 0, 3), eng.solve(d.g, d.w, 0, 3));
+}
+
+TEST(SuurballeEngine, RandomizedDriftReusedMatchesFreshBitForBit) {
+  // Random graphs under random weight drift, with sources, sinks and graph
+  // shapes changing between solves; every solve of one long-lived engine is
+  // compared bitwise against a fresh engine and checked against classic
+  // Suurballe's feasibility and optimum.
+  support::Rng rng(2024);
+  SuurballeEngine eng;
+  for (int inst = 0; inst < 10; ++inst) {
+    const NodeId n = 12 + static_cast<NodeId>(rng.index(8));
+    Digraph g(n);
+    std::vector<double> w;
+    for (NodeId a = 0; a < n; ++a) {
+      for (int k = 0; k < 4; ++k) {
+        const NodeId b = static_cast<NodeId>(
+            rng.index(static_cast<std::size_t>(n)));
+        if (b == a) continue;
+        g.add_edge(a, b);
+        w.push_back(rng.uniform(0.5, 10.0));
+      }
+    }
+    for (int step = 0; step < 12; ++step) {
+      // Drift ~20% of the weights, both directions.
+      for (std::size_t e = 0; e < w.size(); ++e) {
+        if (rng.uniform() < 0.2) w[e] = rng.uniform(0.5, 10.0);
+      }
+      const auto s = static_cast<NodeId>(rng.index(3));
+      const NodeId t = n - 1 - static_cast<NodeId>(rng.index(3));
+      const DisjointPair reused = eng.solve(g, w, s, t);
+      expect_bitwise(fresh_solve(g, w, s, t), reused);
+      if (HasFatalFailure()) return;
+      const DisjointPair classic = suurballe(g, w, s, t);
+      ASSERT_EQ(classic.found, reused.found);
+      if (classic.found) {
+        EXPECT_NEAR(classic.total_cost(), reused.total_cost(), 1e-9);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wdm::graph

@@ -1,7 +1,7 @@
 // Golden-file test for the Chrome trace-event exporter.
 //
-// The golden signature is *structural*: counts of slice root-paths, instant
-// names, and flow phases. Timestamps, span/thread ids, and "M" metadata are
+// The golden signature is *structural*: counts of slice root-paths and
+// instant names. Timestamps, span/thread ids, and "M" metadata are
 // excluded — they vary run to run — so for a fixed seed in serial mode the
 // signature is fully deterministic and any change to what the exporter
 // emits (names, nesting, event kinds) shows up as a diff.
@@ -62,8 +62,8 @@ sim::SimOptions golden_options() {
 }
 
 /// Parses a Chrome trace document into its structural signature, one line
-/// per distinct (kind, key): "X <root-path> x <count>", "i <name> x <count>",
-/// "flow <ph> x <count>". Lines are sorted (std::map iteration order).
+/// per distinct (kind, key): "X <root-path> x <count>", "i <name> x <count>".
+/// Lines are sorted (std::map iteration order).
 std::string trace_signature(const std::string& chrome_json) {
   json::Parser parser(chrome_json);
   const json::JsonPtr doc = parser.parse();
@@ -77,7 +77,6 @@ std::string trace_signature(const std::string& chrome_json) {
   };
   std::map<std::uint64_t, Slice> slices;  // span id -> slice
   std::map<std::string, int> instants;
-  std::map<std::string, int> flows;
   for (const json::JsonPtr& e : (*events)->arr) {
     const std::string& ph = (*e->find("ph"))->str;
     if (ph == "X") {
@@ -89,8 +88,6 @@ std::string trace_signature(const std::string& chrome_json) {
       slices[id] = {(*e->find("name"))->str, parent};
     } else if (ph == "i") {
       ++instants[(*e->find("name"))->str];
-    } else if (ph == "s" || ph == "f") {
-      ++flows[ph];
     }
   }
   std::map<std::string, int> paths;
@@ -113,7 +110,6 @@ std::string trace_signature(const std::string& chrome_json) {
   for (const auto& [name, n] : instants) {
     sig << "i " << name << " x " << n << "\n";
   }
-  for (const auto& [ph, n] : flows) sig << "flow " << ph << " x " << n << "\n";
   return sig.str();
 }
 
