@@ -47,11 +47,19 @@ void report(const char* name, const net::WdmNetwork& n, net::NodeId s,
                  support::TextTable::integer(n.num_nodes()),
                  support::TextTable::integer(n.num_links()), "-", "-", "-",
                  "-"});
-  const int hub_arcs = aux.g.num_edges() - aux.num_link_arcs -
-                       aux.num_transit_arcs;
+  // The builder's stable arena keeps arcs the construction leaves out at
+  // weight +inf; G' proper is the finite subgraph.
+  graph::Digraph finite(aux.g.num_nodes());
+  for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
+    if (aux.w[static_cast<std::size_t>(a)] != graph::kInf) {
+      finite.add_edge(aux.g.tail(a), aux.g.head(a));
+    }
+  }
+  const int hub_arcs =
+      finite.num_edges() - aux.num_link_arcs - aux.num_transit_arcs;
   table.add_row({std::string("G' (auxiliary)"),
-                 support::TextTable::integer(aux.g.num_nodes()),
-                 support::TextTable::integer(aux.g.num_edges()),
+                 support::TextTable::integer(aux.num_edge_nodes + 2),
+                 support::TextTable::integer(finite.num_edges()),
                  support::TextTable::integer(aux.num_edge_nodes),
                  support::TextTable::integer(aux.num_link_arcs),
                  support::TextTable::integer(aux.num_transit_arcs),
@@ -97,7 +105,7 @@ void report(const char* name, const net::WdmNetwork& n, net::NodeId s,
                                                                      : "out") +
              std::to_string(pe);
     };
-    std::printf("\n%s\n", graph::to_dot(aux.g, ax).c_str());
+    std::printf("\n%s\n", graph::to_dot(finite, ax).c_str());
   }
 }
 

@@ -107,9 +107,7 @@ ArmResult run_arm(const ArmSpec& spec, int wavelengths, int requests,
     // universe graph (transit arcs grow with Σ deg², so Waxman arms are
     // far "bigger" than their node count suggests).
     rwa::AuxGraphBuilder sizer;
-    rwa::AuxGraphOptions sopt;
-    sopt.stable_arena = true;
-    r.aux_arcs = sizer.build(base, 0, 1, sopt).g.num_edges();
+    r.aux_arcs = sizer.build(base, 0, 1).g.num_edges();
   }
 
   // Identical query + churn streams for both passes. Sources come from a

@@ -228,6 +228,7 @@ FuzzInstance generate_instance(std::uint64_t seed, const GenOptions& opt) {
   else if (roll < 75) family = TopoFamily::kBackbone;
   else if (roll < 90) family = TopoFamily::kTrap;
   else family = TopoFamily::kBridge;
+  if (opt.family) family = *opt.family;  // after the draws: stream unchanged
   inst.family = topo_family_name(family);
 
   switch (family) {

@@ -9,6 +9,8 @@
 // shrinker rely on.
 #pragma once
 
+#include <optional>
+
 #include "fuzz/instance.hpp"
 #include "support/rng.hpp"
 
@@ -41,6 +43,12 @@ struct GenOptions {
   double srlg_probability = 0.0;
   int max_srlg_groups = 3;
   int max_srlg_size = 3;
+
+  /// Forces the topology family instead of drawing it from the mix, for
+  /// suites that must cover every family within a small budget. The family
+  /// roll is still drawn, so everything else about the seed's RNG stream is
+  /// consumed as usual.
+  std::optional<TopoFamily> family;
 };
 
 /// Generates the instance for `seed`. Deterministic; never returns a network

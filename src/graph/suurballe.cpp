@@ -15,132 +15,12 @@ bool edge_on(std::span<const std::uint8_t> mask, EdgeId e) {
   return mask.empty() || mask[static_cast<std::size_t>(e)] != 0;
 }
 
-/// Decomposes the 2-unit flow given by `in_flow` (edge ids carrying one unit
-/// each) into two s->t paths by walking unused flow edges. Costs are filled
-/// from `w`.
-DisjointPair decompose_two_paths(const Digraph& g, std::span<const double> w,
-                                 NodeId s, NodeId t,
-                                 const std::vector<EdgeId>& flow_edges) {
-  std::vector<std::vector<EdgeId>> out(static_cast<std::size_t>(g.num_nodes()));
-  for (EdgeId e : flow_edges) {
-    out[static_cast<std::size_t>(g.tail(e))].push_back(e);
-  }
-  DisjointPair pair;
-  Path* paths[2] = {&pair.first, &pair.second};
-  for (Path* p : paths) {
-    NodeId v = s;
-    while (v != t) {
-      auto& choices = out[static_cast<std::size_t>(v)];
-      WDM_CHECK_MSG(!choices.empty(), "flow decomposition stuck — not a 2-flow");
-      const EdgeId e = choices.back();
-      choices.pop_back();
-      p->edges.push_back(e);
-      v = g.head(e);
-      WDM_CHECK_MSG(p->edges.size() <= flow_edges.size(),
-                    "flow decomposition cycled");
-    }
-    p->found = true;
-    p->cost = path_weight(*p, w);
-  }
-  pair.found = true;
-  // Canonical order: cheaper path first (primary).
-  if (pair.second.cost < pair.first.cost) std::swap(pair.first, pair.second);
-  return pair;
-}
-
 }  // namespace
 
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
-                       NodeId t, std::span<const std::uint8_t> edge_enabled) {
-  WDM_CHECK(g.valid_node(s) && g.valid_node(t));
-  WDM_CHECK_MSG(s != t, "suurballe requires distinct endpoints");
-  const auto m = static_cast<std::size_t>(g.num_edges());
-  WDM_CHECK(w.size() == m);
-
-  DisjointPair result;
-
-  // Round 1: full shortest-path tree from s (the paper's first iteration of
-  // Find_Two_Paths on G'^1 = G').
-  DijkstraOptions opt;
-  opt.edge_enabled = edge_enabled;
-  const ShortestPathTree tree1 = dijkstra(g, w, s, opt);
-  if (!tree1.reached(t)) return result;
-  const Path p1 = extract_path(g, tree1, t);
-
-  std::vector<std::uint8_t> on_p1(m, 0);
-  for (EdgeId e : p1.edges) on_p1[static_cast<std::size_t>(e)] = 1;
-
-  // Round 2: Dijkstra over reduced costs w'(e) = w(e) + d(tail) - d(head),
-  // with p1's edges usable only backwards at cost 0 (the paper's E_reserve).
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<double> dist(n, kInf);
-  // Predecessor arc: edge id, plus whether it was traversed in reverse.
-  std::vector<EdgeId> pred(n, kInvalidEdge);
-  std::vector<std::uint8_t> pred_rev(n, 0);
-
-  QuadHeap heap(n);
-  dist[static_cast<std::size_t>(s)] = 0.0;
-  heap.push(static_cast<std::size_t>(s), 0.0);
-  auto reduced = [&](EdgeId e) {
-    const double r = w[static_cast<std::size_t>(e)] +
-                     tree1.distance(g.tail(e)) - tree1.distance(g.head(e));
-    // Clamp tiny negatives from floating-point cancellation.
-    return r < 0.0 ? 0.0 : r;
-  };
-  while (!heap.empty()) {
-    const auto [uid, du] = heap.pop_min();
-    const auto u = static_cast<NodeId>(uid);
-    if (u == t) break;
-    for (EdgeId e : g.out_edges(u)) {
-      if (!edge_on(edge_enabled, e) || on_p1[static_cast<std::size_t>(e)]) {
-        continue;
-      }
-      if (!tree1.reached(g.head(e))) continue;  // reduced cost undefined
-      const auto v = static_cast<std::size_t>(g.head(e));
-      const double dv = du + reduced(e);
-      if (dv < dist[v]) {
-        dist[v] = dv;
-        pred[v] = e;
-        pred_rev[v] = 0;
-        heap.push_or_decrease(v, dv);
-      }
-    }
-    for (EdgeId e : g.in_edges(u)) {
-      if (!on_p1[static_cast<std::size_t>(e)]) continue;
-      // Traverse backwards: head -> tail, reduced cost 0.
-      const auto v = static_cast<std::size_t>(g.tail(e));
-      const double dv = du;
-      if (dv < dist[v]) {
-        dist[v] = dv;
-        pred[v] = e;
-        pred_rev[v] = 1;
-        heap.push_or_decrease(v, dv);
-      }
-    }
-  }
-  if (dist[static_cast<std::size_t>(t)] == kInf) return result;  // no pair
-
-  // Cancel interlacing edges (the paper's E_intersect): an edge of p1 used in
-  // reverse by round 2 drops out of the union.
-  std::vector<std::uint8_t> in_flow(m, 0);
-  for (EdgeId e : p1.edges) in_flow[static_cast<std::size_t>(e)] = 1;
-  for (NodeId v = t; v != s;) {
-    const EdgeId e = pred[static_cast<std::size_t>(v)];
-    WDM_CHECK(e != kInvalidEdge);
-    if (pred_rev[static_cast<std::size_t>(v)]) {
-      in_flow[static_cast<std::size_t>(e)] = 0;
-      v = g.head(e);
-    } else {
-      in_flow[static_cast<std::size_t>(e)] = 1;
-      v = g.tail(e);
-    }
-  }
-
-  std::vector<EdgeId> flow_edges;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (in_flow[static_cast<std::size_t>(e)]) flow_edges.push_back(e);
-  }
-  return decompose_two_paths(g, w, s, t, flow_edges);
+                       NodeId t) {
+  SuurballeEngine engine;
+  return engine.solve(g, w, s, t);
 }
 
 DisjointPair suurballe_node_disjoint(
@@ -158,6 +38,7 @@ DisjointPair suurballe_node_disjoint(
     Digraph split;
     std::vector<double> sw;
     std::vector<EdgeId> orig;  // original edge id per split edge, -1 = internal
+    SuurballeEngine engine;
   };
   thread_local SplitArena arena;
   Digraph& split = arena.split;
@@ -178,7 +59,7 @@ DisjointPair suurballe_node_disjoint(
     sw.push_back(w[static_cast<std::size_t>(e)]);
     orig.push_back(e);
   }
-  DisjointPair sp = suurballe(split, sw, s + n, t);
+  DisjointPair sp = arena.engine.solve(split, sw, s + n, t);
   if (!sp.found) return sp;
   auto project = [&](const Path& p) {
     Path out;
@@ -273,11 +154,12 @@ void SuurballeEngine::round_two(const Digraph& g, std::span<const double> w,
   std::reverse(p1_edges_.begin(), p1_edges_.end());
   for (EdgeId e : p1_edges_) on_p1_[static_cast<std::size_t>(e)] = 1;
 
-  // Mirrors suurballe() round 2: Dijkstra over reduced costs with p1
-  // reversed at cost 0, then interlacing cancellation and 2-flow
-  // decomposition. The r2_* arrays are clean outside r2_touched_ (bind()
-  // establishes that, the epilogue below restores it), so nothing here is
-  // O(n) or O(m) in the quiescent graph.
+  // Round 2: Dijkstra over reduced costs w'(e) = w(e) + d(tail) - d(head),
+  // with p1's arcs usable only backwards at cost 0 (the paper's E_reserve),
+  // then interlacing cancellation (E_intersect) and 2-flow decomposition.
+  // The r2_* arrays are clean outside r2_touched_ (bind() establishes that,
+  // the epilogue below restores it), so nothing here is O(n) or O(m) in the
+  // quiescent graph.
   r2_touched_.clear();
   auto r2_label = [&](std::size_t v, double dv, EdgeId pe, std::uint8_t rev) {
     if (r2_dist_[v] == kInf) r2_touched_.push_back(static_cast<NodeId>(v));
@@ -339,7 +221,7 @@ void SuurballeEngine::round_two(const Digraph& g, std::span<const double> w,
       }
     }
 
-    // Ascending unique arc ids, as suurballe()'s full scan produces them.
+    // Ascending unique arc ids.
     std::sort(flow_cand_.begin(), flow_cand_.end());
     flow_cand_.erase(std::unique(flow_cand_.begin(), flow_cand_.end()),
                      flow_cand_.end());
@@ -348,9 +230,9 @@ void SuurballeEngine::round_two(const Digraph& g, std::span<const double> w,
       if (in_flow_[static_cast<std::size_t>(e)]) flow_edges_.push_back(e);
     }
 
-    // Decompose the 2-flow exactly like decompose_two_paths: per-node
-    // out-choices filled in ascending edge order, consumed from the back.
-    // A node carries at most 2 units of outgoing flow, so two slots suffice.
+    // Decompose the 2-flow: per-node out-choices filled in ascending arc
+    // order, consumed from the back. A node carries at most 2 units of
+    // outgoing flow, so two slots suffice.
     for (const EdgeId e : flow_edges_) {
       const auto v = static_cast<std::size_t>(g.tail(e));
       WDM_CHECK_MSG(decomp_cnt_[v] < 2, "flow decomposition: out-degree > 2");

@@ -8,12 +8,10 @@
 // (the paper's E_reserve), after which interlacing edges cancel
 // (E_intersect) and the union decomposes into the two paths.
 //
-// Two implementations share the algorithm. graph::suurballe() is the
-// one-shot reference: it allocates per call, honours an edge mask, and takes
-// the round-1 path from Dijkstra's predecessor tree, so among equal-cost
-// shortest paths the heap's pop order decides. SuurballeEngine is the
-// routers' allocation-free solver with a stated tie rule (see below); the
-// two agree on feasibility and total cost, not necessarily on edges.
+// There is one implementation, SuurballeEngine, with a stated tie rule (see
+// below); graph::suurballe() is a one-shot wrapper over a local engine.
+// Arcs of weight +inf never relax, so callers disable arcs by weight rather
+// than by mask. Independent cross-checks use graph::min_cost_disjoint_paths.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +34,11 @@ struct DisjointPair {
 };
 
 /// Minimum-total-weight pair of edge-disjoint paths s -> t, or found == false
-/// when no such pair exists. Weights must be nonnegative. The optional mask
-/// restricts the computation to a subgraph. Requires s != t.
+/// when no such pair exists. Weights must be nonnegative; +inf disables an
+/// arc. Requires s != t. One-shot: allocates a SuurballeEngine per call and
+/// inherits its tie rule and precondition.
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
-                       NodeId t, std::span<const std::uint8_t> edge_enabled = {});
+                       NodeId t);
 
 /// Node-disjoint variant via the standard node-splitting transform: returns a
 /// min-total-weight pair of internally node-disjoint paths. (Extension beyond
@@ -57,19 +56,21 @@ DisjointPair naive_two_step(const Digraph& g, std::span<const double> w,
 
 /// Allocation-free Suurballe for the per-request router path. Every solve is
 /// cold: a full round-1 Dijkstra from s (no early exit at t, so every
-/// reduced cost round 2 reads is defined), then round 2 as in suurballe().
-/// Arcs of weight +inf never relax, which is how the stable-arena auxiliary
-/// graphs disable arcs without a mask.
+/// reduced cost round 2 reads is defined), then round 2 over reduced costs.
+/// Arcs of weight +inf never relax, in round 1 or round 2, which is how the
+/// stable-arena auxiliary graphs disable arcs without a mask.
 ///
 /// Tie rule. The round-1 path p1 is canonical: from t, repeatedly take the
 /// *minimum-id* in-arc (u, v) that is exactly tight, dist[u] ⊕ w == dist[v]
 /// in IEEE double arithmetic, until s. Round-1 labels are the unique least
 /// fixpoint of d(v) = min over in-arcs of d(u) ⊕ w, independent of heap
 /// order, so p1 — and with it the whole pair — is a pure function of the
-/// graph's arc order, the weights, s and t. The walk requires the tight
-/// subgraph to be free of zero-weight cycles (true for the builder's
-/// auxiliary graphs, whose link arcs carry positive costs); a cycle trips a
-/// WDM_CHECK.
+/// graph's arc order, the weights, s and t.
+///
+/// Precondition: the tight subgraph holds no zero-weight cycle (true for the
+/// builder's auxiliary graphs, whose link arcs carry positive costs, and for
+/// positive physical link costs); a cycle trips a WDM_CHECK. Every caller,
+/// graph::suurballe() and suurballe_node_disjoint() included, inherits it.
 ///
 /// The heap, the round-1 labels and every round-2 array are retained across
 /// solves and resized only when the graph's node or arc count changes; round

@@ -25,14 +25,13 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
-  opt.stable_arena = true;
   auto sc = scratch_.lease(net);
   const AuxGraph& aux = sc->builder.build(net, s, t, opt);
   tel.split(WDM_TEL_HIST("rwa.approx.aux_build_ns"),
             WDM_TEL_NAME("rwa.approx.aux_build"));
 
   if (srlg_path) {
-    SrlgPairResult sp = srlg_disjoint_pair(net, aux);
+    SrlgPairResult sp = srlg_disjoint_pair(net, aux, sc->suurballe);
     sc->pair = std::move(sp.pair);
     out->srlg_exhaustive = sp.exhaustive;
   } else {

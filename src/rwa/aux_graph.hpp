@@ -20,14 +20,25 @@
 // Because each physical link owns exactly one link arc, edge-disjoint paths
 // in the auxiliary graph project to edge-disjoint link sets in G — the fact
 // Lemma 2 rests on.
+//
+// Layout. Every graph lives in a stable arena (the "universe"): every
+// structural arc the topology can ever need is materialized once, with node
+// ids computed from the link id (u_out^e = 2e, v_in^e = 2e+1, then s' and
+// t''), one link arc per physical link, one transit arc per (in-link,
+// out-link) pair, one s' arc and one t'' arc per link, and with the
+// node-protection gadget a hub arc per physical node plus one fan arc per
+// link end. An arc that the recipe above leaves out carries weight +inf
+// instead; the
+// finite arcs form exactly the graph the recipe describes, with the same
+// weights bit for bit (tests/fuzz/test_fuzz_aux_builder.cpp checks this
+// against a compacted reference construction in src/fuzz). Dijkstra's
+// strict-improvement relaxation never takes a +inf arc, so shortest paths
+// and Suurballe pairs live in the finite subgraph. Count arcs by weight, or
+// read the num_* counters, rather than g.num_edges().
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -61,22 +72,6 @@ struct AuxGraphOptions {
   /// instead (a true mean, removing the discount partially-loaded links get
   /// under the paper's formula). See bench_ablations.
   bool grc_mean_over_available = false;
-
-  /// Stable-arena ("universe") layout — the continental-scale hot path
-  /// (ROADMAP item 4). Instead of compacting the graph to currently-usable
-  /// links, the builder materializes every structural arc the topology can
-  /// ever need — node ids computed from the link id (u_out^e = 2e,
-  /// v_in^e = 2e+1), one link arc per physical link, one transit arc per
-  /// (in-link, out-link) pair — finalizes the adjacency into CSR once, and
-  /// thereafter every rebuild only *re-weights* arcs: disabled arcs carry
-  /// +inf, and only arcs whose link_revision / conversion_revision moved
-  /// (plus the O(deg) s'/t'' wiring on a query change) are touched. Weights
-  /// of enabled arcs are bit-identical to the compacted layout, +inf arcs
-  /// are unreachable under Dijkstra's strict-improvement relaxation, so
-  /// shortest paths, Suurballe pairs, and projections agree with the
-  /// compacted graph; node/arc *ids* differ, which is why this is opt-in
-  /// rather than the default (structure-pinning tests use the compact form).
-  bool stable_arena = false;
 
   /// Node-protection gadget (extension beyond the paper): route all transit
   /// at an intermediate physical node through a single hub arc, so
@@ -122,9 +117,9 @@ struct AuxGraph {
 };
 
 /// Builds the auxiliary graph for a query s -> t over the current residual
-/// network. One-shot convenience wrapper over AuxGraphBuilder (cold arena,
-/// cold caches) — the reference construction the differential tests compare
-/// the reusable builder against.
+/// network: a copy of a fresh AuxGraphBuilder's graph (cold arena, cold
+/// caches) — the reference the differential tests compare a long-lived
+/// builder against.
 AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, const AuxGraphOptions& opt = {});
 
@@ -138,75 +133,54 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// Reusable auxiliary-graph builder — the fast path for every per-request
 /// construction of G' / G_c / G_rc (§3.3.1, §4.1, §4.2).
 ///
-/// A cold build_aux_graph call pays twice on every request: it reallocates
-/// the whole graph (nodes, arcs, weights, adjacency), and it redoes the
-/// O(|Λ|²) wavelength-pair scan of mean_conversion_cost for every
-/// (in-link, out-link) pair at every node. The builder keeps both across
-/// calls:
+/// The universe (CSR structure and weight arrays) is sized once per bound
+/// topology and protect flag; afterwards a build only re-weights arcs in
+/// place. Arc ids stay stable across builds, and a build touches only the
+/// arcs downstream of links / nodes whose link_revision /
+/// conversion_revision moved, plus the O(deg) s'/t'' wiring on a query
+/// change (a new weighting, ϑ or mask repatches every arc). The weights
+/// come from two revision-validated caches (see WdmNetwork's
+/// cache-invalidation contract):
 ///
-///   * arena reuse — the AuxGraph (and its Digraph adjacency buffers),
-///     edge-node maps, and weight vectors are cleared in place, so a
-///     steady-state rebuild allocates nothing;
-///   * conversion-mean caching — mean_conversion_cost results are memoized
-///     per (node, in-link, out-link), validated against the network's
-///     link_revision / conversion_revision counters (see WdmNetwork's
-///     cache-invalidation contract): reserve/release/fail on a link only
+///   * conversion means — mean_conversion_cost results memoized per
+///     (node, in-link, out-link): reserve/release/fail on a link only
 ///     invalidates the entries that touch it;
-///   * per-link available-cost sums (the G' / G_rc link-arc weights) are
-///     memoized the same way.
+///   * per-link available-cost sums (the G' / G_rc link-arc weights).
 ///
-/// The produced graph is arc-for-arc identical — topology, node ids, arc
-/// order, and bit-exact weights — to a cold build_aux_graph of the same
+/// A long-lived builder produces a graph arc-for-arc identical — structure,
+/// arc order and bit-exact weights — to a fresh builder's for the same
 /// query, which tests/fuzz/test_fuzz_aux_builder.cpp enforces under
-/// randomized churn.
+/// randomized churn. A steady-state build allocates nothing.
 ///
-/// Not thread-safe; route() implementations that may run concurrently lease
-/// one from an AuxGraphBuilderPool instead of sharing an instance.
+/// Not thread-safe; routers lease one per route() through RouteScratchPool
+/// (route_scratch.hpp).
 class AuxGraphBuilder {
  public:
   AuxGraphBuilder() = default;
 
-  /// Builds the graph for (s, t) into the internal arena and returns it.
-  /// The reference is invalidated by the next build/build_batch/take_last
-  /// call. Binding follows the network's uid(): the first build against a
-  /// different WdmNetwork object drops every cache automatically.
+  /// Builds the graph for (s, t) into the internal arena and returns it;
+  /// the next build rewrites the arena in place. Binding follows the
+  /// network's uid(): the first build against a different WdmNetwork object
+  /// drops every cache automatically.
   const AuxGraph& build(const net::WdmNetwork& net, net::NodeId s,
                         net::NodeId t, const AuxGraphOptions& opt = {});
-
-  /// Batch entry point: builds the graph for each (s, t) query in order and
-  /// invokes `fn(i, aux)` after each. Arenas and conversion-mean caches stay
-  /// warm across the whole batch even when `fn` reserves or releases
-  /// wavelengths between queries — the provision_batch / simulator pattern.
-  void build_batch(const net::WdmNetwork& net,
-                   std::span<const std::pair<net::NodeId, net::NodeId>> queries,
-                   const AuxGraphOptions& opt,
-                   const std::function<void(std::size_t, const AuxGraph&)>& fn);
 
   /// Feasibility test for the θ searches of §4.1: true iff the graph
   /// build(net, s, t, opt) would produce holds two arc-disjoint s' -> t''
   /// paths, i.e. iff graph::suurballe on it finds a pair. Runs unweighted
-  /// over the stable-arena universe: links pass the filter a build applies
-  /// (mask, residual availability, the strict or inclusive ϑ filter of
-  /// G_c / G_rc), transit arcs open through the revision-checked
-  /// conversion-mean cache, and two BFS augmentations over the CSR decide
-  /// whether a unit-capacity flow of 2 exists. No arc weight is written: a
-  /// later stable-arena build finds the arena as the last build left it. A
-  /// graph returned by an earlier *compact* build is replaced by the
-  /// universe. Allocation-free once the universe is sized. The
-  /// node-protection gadget is not supported (opt.protect_nodes must be
-  /// false).
+  /// over the universe: links pass the filter a build applies (mask,
+  /// residual availability, the strict or inclusive ϑ filter of G_c /
+  /// G_rc), transit arcs open through the revision-checked conversion-mean
+  /// cache, and two BFS augmentations over the CSR decide whether a
+  /// unit-capacity flow of 2 exists. No arc weight is written: a later
+  /// build finds the arena as the last build left it. Allocation-free once
+  /// the universe is sized. The node-protection gadget is not supported
+  /// (opt.protect_nodes must be false).
   bool has_disjoint_pair(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, const AuxGraphOptions& opt);
 
-  /// Moves the last-built graph out of the arena (donating its buffers);
-  /// the next build starts from empty vectors but keeps the caches.
-  AuxGraph take_last();
-
-  /// Drops every cache and the network binding; arena capacity is kept.
-  void invalidate();
-
   /// uid() of the network the caches are currently bound to (0 = unbound).
-  /// AuxGraphBuilderPool keys leases on this so a caller gets back a builder
+  /// RouteScratchPool keys leases on this so a caller gets back a builder
   /// whose caches are warm for *its* network, not whichever network leased
   /// last — the difference between a warm rebuild and a full rebind when
   /// replicas sharing one router interleave their networks (sim::replicate).
@@ -232,22 +206,22 @@ class AuxGraphBuilder {
   void link_costs(const net::WdmNetwork& net, graph::EdgeId e, double* sum,
                   int* count);
 
-  // --- Stable-arena (universe) path; see AuxGraphOptions::stable_arena ----
-  void build_stable(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    const AuxGraphOptions& opt);
+  // --- Universe layout; see the header comment --------------------------
+  /// Re-weights the universe for (s, t, opt), touching only what moved.
+  void patch_weights(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                     const AuxGraphOptions& opt);
   /// Materializes the full structural arc table and finalizes it into CSR.
-  void stable_structure(const net::WdmNetwork& net, bool protect);
-  bool stable_usable(const net::WdmNetwork& net, graph::EdgeId e,
-                     const AuxGraphOptions& opt) const;
+  void build_universe(const net::WdmNetwork& net, bool protect);
+  /// The link filter of every build: mask, residual availability, ϑ.
+  bool link_usable(const net::WdmNetwork& net, graph::EdgeId e,
+                   const AuxGraphOptions& opt) const;
   /// Re-weights link arc e plus its s'/t'' wiring; maintains counters.
-  void stable_patch_link(const net::WdmNetwork& net, graph::EdgeId e,
-                         net::NodeId s, net::NodeId t,
-                         const AuxGraphOptions& opt);
+  void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,
+                  net::NodeId t, const AuxGraphOptions& opt);
   /// Re-weights every transit structure at v (pair arcs; hub + fan arcs in
   /// protect mode); maintains the transit-arc counter.
-  void stable_patch_node(const net::WdmNetwork& net, net::NodeId v,
-                         net::NodeId s, net::NodeId t,
-                         const AuxGraphOptions& opt);
+  void patch_node(const net::WdmNetwork& net, net::NodeId v, net::NodeId s,
+                  net::NodeId t, const AuxGraphOptions& opt);
 
   static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
 
@@ -272,10 +246,8 @@ class AuxGraphBuilder {
 
   // Arena.
   AuxGraph aux_;
-  std::vector<graph::NodeId> out_node_;
-  std::vector<graph::NodeId> in_node_;
 
-  // Stable-arena state. Structure (node/arc ids) is a pure function of the
+  // Universe state. Structure (node/arc ids) is a pure function of the
   // bound topology and the protect flag; weights are patched per build.
   bool uni_ready_ = false;
   bool uni_protect_ = false;
@@ -314,53 +286,6 @@ class AuxGraphBuilder {
   std::uint32_t feas_stamp_ = 0;
 
   CacheStats stats_;
-};
-
-/// Thread-safe LIFO pool of builders. Router::route() is const but may run
-/// concurrently (sim::replicate's parallel Monte Carlo); each call leases a
-/// builder for its duration. A single-threaded caller therefore always gets
-/// the same warm builder back, while concurrent callers each get their own.
-class AuxGraphBuilderPool {
- public:
-  class Lease {
-   public:
-    Lease(AuxGraphBuilderPool* pool, std::unique_ptr<AuxGraphBuilder> builder)
-        : pool_(pool), builder_(std::move(builder)) {}
-    Lease(Lease&& other) noexcept = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease();
-
-    AuxGraphBuilder& operator*() { return *builder_; }
-    AuxGraphBuilder* operator->() { return builder_.get(); }
-    AuxGraphBuilder* get() { return builder_.get(); }
-
-   private:
-    AuxGraphBuilderPool* pool_;
-    std::unique_ptr<AuxGraphBuilder> builder_;
-  };
-
-  AuxGraphBuilderPool() = default;
-  AuxGraphBuilderPool(const AuxGraphBuilderPool&) = delete;
-  AuxGraphBuilderPool& operator=(const AuxGraphBuilderPool&) = delete;
-
-  Lease lease();
-  /// Keyed lease: prefers an idle builder already bound to `net` (warm
-  /// caches), then an unbound one, then LIFO; allocates only when the pool
-  /// is empty. Concurrent callers over distinct networks (replicas sharing
-  /// one router) each keep their own warm builder instead of thrashing each
-  /// other's caches through rebinds.
-  Lease lease(const net::WdmNetwork& net);
-  /// Builders currently parked in the pool (observability for tests).
-  std::size_t idle_count() const;
-
- private:
-  friend class Lease;
-  void put(std::unique_ptr<AuxGraphBuilder> builder);
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<AuxGraphBuilder>> idle_;
 };
 
 }  // namespace wdm::rwa

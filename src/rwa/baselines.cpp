@@ -32,14 +32,14 @@ RouteResult PhysicalFirstFitRouter::route(const net::WdmNetwork& net,
   RouteResult result;
   const auto& pg = net.graph();
   const auto m = static_cast<std::size_t>(pg.num_edges());
-  std::vector<double> w(m, 0.0);
-  std::vector<std::uint8_t> usable(m, 0);
+  // Links without an available wavelength weigh +inf, which never relaxes.
+  std::vector<double> w(m, graph::kInf);
   for (graph::EdgeId e = 0; e < pg.num_edges(); ++e) {
-    if (net.available(e).empty()) continue;
-    usable[static_cast<std::size_t>(e)] = 1;
-    w[static_cast<std::size_t>(e)] = net.min_weight(e);
+    if (!net.available(e).empty()) {
+      w[static_cast<std::size_t>(e)] = net.min_weight(e);
+    }
   }
-  const graph::DisjointPair pair = graph::suurballe(pg, w, s, t, usable);
+  const graph::DisjointPair pair = graph::suurballe(pg, w, s, t);
   if (!pair.found) return result;
   result.aux_cost = pair.total_cost();
 

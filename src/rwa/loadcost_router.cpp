@@ -45,12 +45,11 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   aopt.weighting = AuxWeighting::kCostLoadFiltered;
   aopt.theta = mc.theta;
   aopt.grc_mean_over_available = grc_mean_over_available_;
-  aopt.stable_arena = true;
   const AuxGraph& aux = sc->builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST("rwa.loadcost.aux_build_ns"),
             WDM_TEL_NAME("rwa.loadcost.aux_build"));
   if (srlg_path) {
-    SrlgPairResult sp = srlg_disjoint_pair(net, aux);
+    SrlgPairResult sp = srlg_disjoint_pair(net, aux, sc->suurballe);
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {

@@ -33,23 +33,24 @@ bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 }
 
 /// The weighted G_c(ϑ) at the accepted threshold, built in the builder's
-/// stable arena; with `pair` set, also its classic Suurballe pair.
+/// stable arena; with `pair` set, also its Suurballe pair, solved by
+/// `engine`.
 const AuxGraph& build_accepted(const net::WdmNetwork& net, net::NodeId s,
                                net::NodeId t, double theta,
                                const MinCogOptions& opt,
                                AuxGraphBuilder& builder,
+                               graph::SuurballeEngine& engine,
                                graph::DisjointPair* pair) {
   support::telemetry::SplitTimer tel;
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
   aopt.theta = theta;
   aopt.load_base = opt.load_base;
-  aopt.stable_arena = true;
   const AuxGraph& aux = builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
             WDM_TEL_NAME("rwa.mincog.aux_build"));
   if (pair != nullptr) {
-    *pair = graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
+    engine.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second, pair);
     tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
               WDM_TEL_NAME("rwa.mincog.suurballe"));
   }
@@ -166,7 +167,8 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   AuxGraphBuilder builder;
   MinCogResult result = find_mincog_threshold(net, s, t, opt, builder);
   if (result.found) {
-    result.aux = build_accepted(net, s, t, result.theta, opt, builder,
+    graph::SuurballeEngine engine;
+    result.aux = build_accepted(net, s, t, result.theta, opt, builder, engine,
                                 &result.aux_pair);
     WDM_DCHECK(result.aux_pair.found);
   }
@@ -214,7 +216,7 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   const AuxGraph* aux = nullptr;
   if (mc.found) {
     aux = &build_accepted(net, s, t, mc.theta, opt_, sc->builder,
-                          srlg_path ? nullptr : &sc->pair);
+                          sc->suurballe, srlg_path ? nullptr : &sc->pair);
   }
   tel.split(WDM_TEL_HIST("rwa.minload.theta_search_ns"),
             WDM_TEL_NAME("rwa.minload.theta_search"));
@@ -226,7 +228,7 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   }
   if (srlg_path) {
     // Rerun the pair search on the accepted G_c(ϑ) with conflict sets.
-    SrlgPairResult sp = srlg_disjoint_pair(net, *aux);
+    SrlgPairResult sp = srlg_disjoint_pair(net, *aux, sc->suurballe);
     result.srlg_exhaustive = sp.exhaustive;
     sc->pair = std::move(sp.pair);
   }

@@ -26,14 +26,13 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
   opt.protect_nodes = true;
-  opt.stable_arena = true;
   auto sc = scratch_.lease(net);
   const AuxGraph& aux = sc->builder.build(net, s, t, opt);
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.aux_build_ns"),
             WDM_TEL_NAME("rwa.node_disjoint.aux_build"));
 
   if (srlg_path) {
-    SrlgPairResult sp = srlg_disjoint_pair(net, aux);
+    SrlgPairResult sp = srlg_disjoint_pair(net, aux, sc->suurballe);
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {

@@ -7,11 +7,12 @@
 // the clear_keep_capacity idiom, so a steady-state route() touches the heap
 // zero times (verified by tests/test_route_alloc.cpp's counting hook).
 //
-// Pooling follows AuxGraphBuilderPool exactly: lease(net) prefers a
-// scratch whose builder caches are already bound to the same network uid.
-// sim::replicate shares one router across parallel_for replicas, each
-// routing its own network copy; the uid key hands each replica its own
-// warm builder without any caller-side threading.
+// The pool is a thread-safe LIFO: lease(net) prefers a scratch whose
+// builder caches are already bound to the same network uid. sim::replicate
+// shares one router across parallel_for replicas, each routing its own
+// network copy; the uid key hands each replica its own warm builder without
+// any caller-side threading. A single-threaded caller always gets the same
+// warm scratch back.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ struct RouteScratch {
   std::uint64_t bound_uid() const { return builder.bound_uid(); }
 };
 
-/// Thread-safe LIFO pool of scratches, keyed like AuxGraphBuilderPool.
+/// Thread-safe LIFO pool of scratches, keyed on the bound network uid.
 class RouteScratchPool {
  public:
   class Lease {
@@ -67,9 +68,8 @@ class RouteScratchPool {
   RouteScratchPool(const RouteScratchPool&) = delete;
   RouteScratchPool& operator=(const RouteScratchPool&) = delete;
 
-  Lease lease();
   /// Keyed lease: exact uid match first (warm builder caches), then a
-  /// never-bound scratch, then LIFO.
+  /// never-bound scratch, then LIFO; allocates only when the pool is empty.
   Lease lease(const net::WdmNetwork& net);
   std::size_t idle_count() const;
 

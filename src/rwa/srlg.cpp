@@ -63,23 +63,23 @@ bool aux_paths_srlg_disjoint(const net::WdmNetwork& net, const AuxGraph& aux,
 
 SrlgPairResult srlg_disjoint_pair(const net::WdmNetwork& net,
                                   const AuxGraph& aux,
+                                  graph::SuurballeEngine& engine,
                                   const SrlgPairOptions& opt) {
   SrlgPairResult out;
-  const graph::DisjointPair base =
-      graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
-  if (!base.found) {
+  engine.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second, &out.pair);
+  if (!out.pair.found) {
     // No edge-disjoint pair ⇒ a fortiori no SRLG-disjoint pair.
     out.exhaustive = true;
     return out;
   }
   if (net.num_srlgs() == 0 ||
-      aux_paths_srlg_disjoint(net, aux, base.first, base.second)) {
+      aux_paths_srlg_disjoint(net, aux, out.pair.first, out.pair.second)) {
     // The minimum over edge-disjoint pairs is a lower bound on the minimum
     // over SRLG-disjoint pairs; being itself SRLG-disjoint, it is optimal.
-    out.pair = base;
     out.exhaustive = true;
     return out;
   }
+  out.pair = graph::DisjointPair{};  // the search below fills it, if it can
   WDM_TEL_COUNT("rwa.srlg.conflict_searches");
 
   // Conflict-set search: for each candidate primary (Yen, nondecreasing

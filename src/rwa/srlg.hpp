@@ -38,13 +38,15 @@ struct SrlgPairResult {
   bool exhaustive = false;
 };
 
-/// Find_Two_Paths with SRLG conflict sets over `aux`'s arcs. Falls back to
-/// (and is bit-for-bit identical with) plain Suurballe when the network
-/// declares no SRLGs. Masks *every* arc of the candidate primary, so under
-/// the node-protection gadget the returned pair stays internally
+/// Find_Two_Paths with SRLG conflict sets over `aux`'s arcs. The plain
+/// Suurballe pair comes from the caller's `engine` (a router's pooled
+/// RouteScratch), so the result is bit-for-bit the engine's pair when the
+/// network declares no SRLGs. Masks *every* arc of the candidate primary, so
+/// under the node-protection gadget the returned pair stays internally
 /// node-disjoint as well.
 SrlgPairResult srlg_disjoint_pair(const net::WdmNetwork& net,
                                   const AuxGraph& aux,
+                                  graph::SuurballeEngine& engine,
                                   const SrlgPairOptions& opt = {});
 
 /// Partial protection: route the primary by pure cost (Liang–Shen over the

@@ -2,27 +2,30 @@
 //
 // The θ searches of §4.1 ask each G_c(ϑ) one question: does it hold two
 // edge-disjoint s′→t″ paths? AuxGraphBuilder::has_disjoint_pair answers it
-// with two BFS augmentations over the stable-arena universe, where the
-// weighted reference builds G_c(ϑ) and runs Suurballe. Suurballe on
-// nonnegative weights finds a pair exactly when two arc-disjoint paths
-// exist, so the two must agree on every query.
+// with two BFS augmentations over the stable-arena universe. The weighted
+// reference builds G_c(ϑ) (a fresh builder's arena, where left-out arcs
+// weigh +inf) and solves it with graph::min_cost_disjoint_paths(k = 2), an
+// independent successive-shortest-path algorithm: a 2-flow of finite cost
+// exists exactly when two arc-disjoint paths do, so the two must agree on
+// every query.
 //
-// (a) has_disjoint_pair against graph::suurballe(build_aux_graph(G_c(ϑ)))
-//     .found, with one warm builder per instance. ϑ runs over every link's
-//     U/N and (U+1)/N (the values where the strict and the inclusive filter
-//     differ), ϑ_min, ϑ_max and random values, under both filters; queries
-//     include the instance's request, random pairs and endpoints with fewer
-//     than two links; the network churns (reservations, a fiber cut)
-//     between sweeps. Every generator family is covered, with its full,
-//     none, limited-range and sparse conversion tables. The probe must also
-//     leave the arena's weights as the last build left them.
+// (a) has_disjoint_pair against the weighted reference, with one warm
+//     builder per instance. ϑ runs over every link's U/N and (U+1)/N (the
+//     values where the strict and the inclusive filter differ), ϑ_min,
+//     ϑ_max and random values, under both filters; queries include the
+//     instance's request, random pairs and endpoints with fewer than two
+//     links; the network churns (reservations, a fiber cut) between sweeps.
+//     The first seven instances cycle through the seven generator families,
+//     so every family is covered at any budget, with its full, none,
+//     limited-range and sparse conversion tables. The probe must also leave
+//     the arena's weights as the last build left them.
 // (b) MinLoadRouter, LoadCostRouter and the three θ schedules against a
-//     hand-composed weighted ladder: a compact G_c(ϑ) build plus classic
-//     Suurballe per probe. ϑ and iterations must match exactly, and so must
-//     find_two_paths_mincog's probe list, which runs the routers' own
-//     find_mincog_threshold; the routes must match hop for hop. The
-//     accepted-ϑ pair is drawn from a cold stable-arena build, as the
-//     routers draw it, because arc order decides Suurballe's ties.
+//     hand-composed weighted ladder: the weighted reference per probe. ϑ and
+//     iterations must match exactly, and so must find_two_paths_mincog's
+//     probe list, which runs the routers' own find_mincog_threshold; the
+//     routes must match hop for hop. The accepted-ϑ pair is drawn from a
+//     fresh build solved by SuurballeEngine, as the routers draw it,
+//     because arc order decides Suurballe's ties.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 4)).
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "rwa/layered_graph.hpp"
@@ -85,11 +89,13 @@ rwa::AuxGraphOptions gc(double theta, bool inclusive = false) {
   return opt;
 }
 
-/// The weighted reference: a compact G_c(ϑ) and classic Suurballe.
+/// The weighted reference: G_c(ϑ) and a min-cost 2-flow over its finite arcs.
 bool weighted_feasible(const net::WdmNetwork& net, net::NodeId s,
                        net::NodeId t, double theta, bool inclusive = false) {
   const rwa::AuxGraph aux = rwa::build_aux_graph(net, s, t, gc(theta, inclusive));
-  return graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second).found;
+  return graph::min_cost_disjoint_paths(aux.g, aux.w, aux.s_prime,
+                                        aux.t_second, 2)
+      .has_value();
 }
 
 /// A node with fewer than two usable out-links (or in-links), if any.
@@ -145,12 +151,10 @@ void sweep(const net::WdmNetwork& net, const FuzzInstance& inst,
   const auto qs = queries(inst, rng);
   for (std::size_t q = 0; q < qs.size(); ++q) {
     const auto [s, t] = qs[q];
-    // Even queries first lay down a weighted stable-arena G_rc that the
-    // probes must leave untouched; odd ones a compact G' the first probe
-    // must replace with the universe.
+    // Each query first lays down a weighted build the probes must leave
+    // untouched: G_rc on even queries, G' on odd ones.
     rwa::AuxGraphOptions before;
-    before.stable_arena = q % 2 == 0;
-    if (before.stable_arena) {
+    if (q % 2 == 0) {
       before.weighting = rwa::AuxWeighting::kCostLoadFiltered;
       before.theta = net.theta_max();
     }
@@ -165,14 +169,12 @@ void sweep(const net::WdmNetwork& net, const FuzzInstance& inst,
         std::ostringstream what;
         what << ctx << " (" << s << "->" << t << ") theta " << theta
              << (inclusive ? " inclusive" : " strict") << ": probe " << got
-             << " vs suurballe " << want;
+             << " vs min-cost flow " << want;
         tally->check(got == want, what.str());
       }
     }
-    if (before.stable_arena) {
-      tally->check(aux.w == w_before,
-                   ctx + ": a probe wrote into the stable arena");
-    }
+    tally->check(aux.w == w_before,
+                 ctx + ": a probe wrote into the stable arena");
   }
 }
 
@@ -194,9 +196,18 @@ TEST(MinCogFeasibility, ProbeAgreesWithWeightedSuurballe) {
   GenOptions loaded;
   loaded.preload_probability = 0.35;
   loaded.failure_probability = 0.3;
+  constexpr TopoFamily kFamilies[] = {
+      TopoFamily::kRandomDigraph, TopoFamily::kRandomConnected,
+      TopoFamily::kRing,          TopoFamily::kGrid,
+      TopoFamily::kBackbone,      TopoFamily::kTrap,
+      TopoFamily::kBridge};
   for (int i = 0; i < instance_budget(); ++i) {
     const std::uint64_t seed = 0x3c0f0000ull + static_cast<std::uint64_t>(i);
-    FuzzInstance inst = generate_instance(seed, i % 2 == 0 ? GenOptions{} : loaded);
+    GenOptions gen = i % 2 == 0 ? GenOptions{} : loaded;
+    if (i < static_cast<int>(std::size(kFamilies))) {
+      gen.family = kFamilies[i];  // every family at any budget
+    }
+    FuzzInstance inst = generate_instance(seed, gen);
     ++families[inst.family];
     support::Rng rng(seed ^ 0xfea5ull);
     rwa::AuxGraphBuilder builder;
@@ -295,10 +306,9 @@ std::string describe(const Ladder& l) {
   return os.str();
 }
 
-/// The route a router must return for ϑ: the accepted-ϑ graph from a cold
-/// stable-arena build, its Suurballe pair (classic for G_c, the engine for
-/// G_rc, as the routers solve them), and the optimal semilightpath
-/// in each path's induced subgraph, cheaper one first.
+/// The route a router must return for ϑ: the accepted-ϑ graph from a fresh
+/// build, its SuurballeEngine pair (as the routers solve it), and the
+/// optimal semilightpath in each path's induced subgraph, cheaper one first.
 net::ProtectedRoute reference_route(const net::WdmNetwork& net, net::NodeId s,
                                     net::NodeId t, double theta,
                                     bool load_cost) {
@@ -306,15 +316,10 @@ net::ProtectedRoute reference_route(const net::WdmNetwork& net, net::NodeId s,
   opt.weighting = load_cost ? rwa::AuxWeighting::kCostLoadFiltered
                             : rwa::AuxWeighting::kLoadExponential;
   opt.theta = theta;
-  opt.stable_arena = true;
   const rwa::AuxGraph aux = rwa::build_aux_graph(net, s, t, opt);
-  graph::DisjointPair pair;
-  if (load_cost) {
-    graph::SuurballeEngine engine;
-    pair = engine.solve(aux.g, aux.w, aux.s_prime, aux.t_second);
-  } else {
-    pair = graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
-  }
+  graph::SuurballeEngine engine;
+  const graph::DisjointPair pair =
+      engine.solve(aux.g, aux.w, aux.s_prime, aux.t_second);
   net::ProtectedRoute route;
   if (!pair.found) return route;
   net::Semilightpath p1 = rwa::optimal_semilightpath(

@@ -199,7 +199,8 @@ TEST(SrlgPairSearch, LowLevelResultIsSrlgDisjoint) {
   rwa::AuxGraphOptions aopt;
   aopt.weighting = rwa::AuxWeighting::kCost;
   const rwa::AuxGraph aux = rwa::build_aux_graph(net, 0, 4, aopt);
-  const rwa::SrlgPairResult sp = rwa::srlg_disjoint_pair(net, aux);
+  graph::SuurballeEngine engine;
+  const rwa::SrlgPairResult sp = rwa::srlg_disjoint_pair(net, aux, engine);
   ASSERT_TRUE(sp.pair.found);
   EXPECT_TRUE(sp.exhaustive);
   // Project both paths and verify no physical link appears twice and links

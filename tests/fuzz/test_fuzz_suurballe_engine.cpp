@@ -6,10 +6,11 @@
 // cost — to a fresh engine solving the same graph. Leftover scratch state
 // would silently change routing decisions.
 //
-// A second check cross-validates found/total_cost against the classic
-// graph::suurballe() on the same universe graph. Classic predecessors are
-// heap-order-dependent so equal-cost path *sets* may differ; total cost is
-// compared with a tight relative tolerance instead of bitwise.
+// A second check cross-validates found/total_cost against
+// graph::min_cost_disjoint_paths (successive shortest paths, an independent
+// algorithm) on the same universe graph. It settles cost ties its own way,
+// so equal-cost path *sets* may differ; total cost is compared with a tight
+// relative tolerance instead of bitwise.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(15, WDM_FUZZ_ITERATIONS / 8)).
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "support/env.hpp"
@@ -112,7 +114,6 @@ TEST(SuurballeEngineDifferential, ReusedEqualsFreshBitForBitUnderChurn) {
         AuxGraphOptions opt;
         opt.weighting = kArms[a].weighting;
         opt.protect_nodes = kArms[a].protect_nodes;
-        opt.stable_arena = true;
         if (opt.weighting != AuxWeighting::kCost) {
           opt.theta = 0.25 + 0.75 * rng.uniform();
         }
@@ -132,14 +133,14 @@ TEST(SuurballeEngineDifferential, ReusedEqualsFreshBitForBitUnderChurn) {
         expect_bitwise_equal(fresh, pair, context);
         if (HasFatalFailure()) return;
 
-        // Cross-check against the classic one-shot implementation: path
-        // sets may legitimately differ under cost ties, but feasibility and
-        // optimal total cost may not.
-        const DisjointPair classic =
-            graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
-        ASSERT_EQ(classic.found, pair.found) << context;
-        if (classic.found) {
-          const double c = classic.total_cost();
+        // Cross-check against min-cost flow: path sets may legitimately
+        // differ under cost ties, but feasibility and optimal total cost
+        // may not.
+        const auto mcf = graph::min_cost_disjoint_paths(
+            aux.g, aux.w, aux.s_prime, aux.t_second, 2);
+        ASSERT_EQ(mcf.has_value(), pair.found) << context;
+        if (mcf) {
+          const double c = (*mcf)[0].cost + (*mcf)[1].cost;
           const double esum = pair.total_cost();
           ASSERT_NEAR(esum, c, 1e-9 * std::max(1.0, std::abs(c))) << context;
         }

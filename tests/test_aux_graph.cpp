@@ -26,6 +26,20 @@ net::WdmNetwork make_square(double conv_cost = 0.5) {
   return n;
 }
 
+/// The arena keeps arcs the construction leaves out at weight +inf; the
+/// graph proper is its finite arcs.
+bool finite(const AuxGraph& aux, graph::EdgeId a) {
+  return aux.w[static_cast<std::size_t>(a)] != graph::kInf;
+}
+
+int finite_arcs(const AuxGraph& aux) {
+  int count = 0;
+  for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
+    count += finite(aux, a) ? 1 : 0;
+  }
+  return count;
+}
+
 TEST(AuxGraph, EdgeNodeInventory) {
   const net::WdmNetwork n = make_square();
   const AuxGraph aux = build_aux_graph(n, 0, 3);
@@ -37,7 +51,7 @@ TEST(AuxGraph, EdgeNodeInventory) {
   // have no in/out combos with availability.
   EXPECT_EQ(aux.num_transit_arcs, 2);
   // Hub arcs: 2 out of s=0, 2 into t=3.
-  EXPECT_EQ(aux.g.num_edges(), 4 + 2 + 4);
+  EXPECT_EQ(finite_arcs(aux), 4 + 2 + 4);
 }
 
 TEST(AuxGraph, LinkArcWeightIsMeanAvailableCost) {
@@ -86,7 +100,8 @@ TEST(AuxGraph, TransitWeightIsMeanConversionCost) {
   for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
     const auto ta = aux.g.tail(a);
     const auto ha = aux.g.head(a);
-    if (aux.phys_edge_of_arc[static_cast<std::size_t>(a)] == graph::kInvalidEdge &&
+    if (finite(aux, a) &&
+        aux.phys_edge_of_arc[static_cast<std::size_t>(a)] == graph::kInvalidEdge &&
         ta != aux.s_prime && ha != aux.t_second) {
       transit = aux.w[static_cast<std::size_t>(a)];
       ++transits;
@@ -146,6 +161,7 @@ TEST(AuxGraph, LoadExponentialWeights) {
   const double idle = std::sqrt(2.0) - 1.0;
   int found_loaded = 0, found_idle = 0;
   for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
+    if (!finite(aux, a)) continue;
     const graph::EdgeId phys = aux.phys_edge_of_arc[static_cast<std::size_t>(a)];
     if (phys == graph::kInvalidEdge) {
       EXPECT_DOUBLE_EQ(aux.w[static_cast<std::size_t>(a)], 0.0);
@@ -201,7 +217,11 @@ TEST(AuxGraph, ProjectRecoversPhysicalPath) {
 TEST(AuxGraph, HubArcsOnlyTouchEndpointLinks) {
   const net::WdmNetwork n = make_square();
   const AuxGraph aux = build_aux_graph(n, 0, 3);
+  int s_arcs = 0;
+  int t_arcs = 0;
   for (graph::EdgeId a : aux.g.out_edges(aux.s_prime)) {
+    if (!finite(aux, a)) continue;
+    ++s_arcs;
     const graph::NodeId en = aux.g.head(a);
     const graph::EdgeId phys =
         aux.phys_edge_of_node[static_cast<std::size_t>(en)];
@@ -209,12 +229,16 @@ TEST(AuxGraph, HubArcsOnlyTouchEndpointLinks) {
     EXPECT_FALSE(aux.is_in_node[static_cast<std::size_t>(en)]);
   }
   for (graph::EdgeId a : aux.g.in_edges(aux.t_second)) {
+    if (!finite(aux, a)) continue;
+    ++t_arcs;
     const graph::NodeId en = aux.g.tail(a);
     const graph::EdgeId phys =
         aux.phys_edge_of_node[static_cast<std::size_t>(en)];
     EXPECT_EQ(n.graph().head(phys), 3);
     EXPECT_TRUE(aux.is_in_node[static_cast<std::size_t>(en)]);
   }
+  EXPECT_EQ(s_arcs, 2);
+  EXPECT_EQ(t_arcs, 2);
 }
 
 TEST(AuxGraph, SizeMatchesTheoremBound) {

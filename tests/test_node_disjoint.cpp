@@ -108,8 +108,15 @@ TEST(NodeDisjointAux, GadgetCountsOnSquare) {
   AuxGraphOptions opt;
   opt.protect_nodes = true;
   const AuxGraph aux = build_aux_graph(n, 0, 3, opt);
-  // Edge nodes 8 + hubs for nodes 1, 2 (2 each) + s' + t''.
-  EXPECT_EQ(aux.g.num_nodes(), 8 + 4 + 2);
+  // Nodes on a finite arc: edge nodes 8 + hubs for nodes 1, 2 (2 each) +
+  // s' + t''. The arena's other arcs carry +inf.
+  std::set<graph::NodeId> live;
+  for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
+    if (aux.w[static_cast<std::size_t>(a)] == graph::kInf) continue;
+    live.insert(aux.g.tail(a));
+    live.insert(aux.g.head(a));
+  }
+  EXPECT_EQ(live.size(), 8u + 4u + 2u);
   // One capacity hub arc per transited node.
   EXPECT_EQ(aux.num_transit_arcs, 2);
 }

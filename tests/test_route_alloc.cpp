@@ -160,7 +160,6 @@ TEST(RouteAlloc, StableArenaRebuildAndEngineSolveAreAllocationFree) {
   graph::SuurballeEngine engine;
   graph::DisjointPair pair;
   rwa::AuxGraphOptions opt;
-  opt.stable_arena = true;
 
   auto one_request = [&](net::NodeId s, net::NodeId t) {
     const rwa::AuxGraph& aux = builder.build(net, s, t, opt);

@@ -12,6 +12,7 @@
 #include "rwa/loadcost_router.hpp"
 #include "rwa/mincog.hpp"
 #include "rwa/node_disjoint_router.hpp"
+#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "topology/network_builder.hpp"
@@ -376,6 +377,66 @@ TEST(RouterSharing, ConcurrentRouteMatchesSerial) {
       }
     }
   }
+}
+
+TEST(RouteScratchPool, SingleThreadedCallerGetsWarmScratchBack) {
+  const net::WdmNetwork net = square_net();
+  RouteScratchPool pool;
+  EXPECT_EQ(pool.idle_count(), 0u);
+  RouteScratch* first = nullptr;
+  {
+    auto lease = pool.lease(net);
+    first = lease.get();
+    EXPECT_EQ(pool.idle_count(), 0u);
+  }
+  EXPECT_EQ(pool.idle_count(), 1u);
+  {
+    auto lease = pool.lease(net);
+    EXPECT_EQ(lease.get(), first) << "LIFO pool must recycle the warm scratch";
+    auto second = pool.lease(net);
+    EXPECT_NE(second.get(), first);
+  }
+  EXPECT_EQ(pool.idle_count(), 2u);
+}
+
+TEST(RouteScratchPool, KeyedLeasePrefersScratchBoundToTheNetwork) {
+  const net::WdmNetwork a = square_net();
+  const net::WdmNetwork b = square_net();  // equal state, distinct uid
+  const net::WdmNetwork c = square_net();
+  RouteScratchPool pool;
+  RouteScratch* for_a = nullptr;
+  RouteScratch* unbound = nullptr;
+  {
+    auto la = pool.lease(a);
+    auto lu = pool.lease(b);  // stays unbound: nothing is built with it
+    for_a = la.get();
+    unbound = lu.get();
+    la->builder.build(a, 0, 3);
+    EXPECT_EQ(la->bound_uid(), a.uid());
+    EXPECT_EQ(lu->bound_uid(), 0u);
+    // Leases end in reverse order: the unbound scratch is parked first, so
+    // the one bound to `a` sits on top of the LIFO stack.
+  }
+  ASSERT_EQ(pool.idle_count(), 2u);
+  {
+    // A new network takes the never-bound scratch, not the top of the
+    // stack, so the one warm for `a` keeps its caches.
+    auto lc = pool.lease(c);
+    EXPECT_EQ(lc.get(), unbound);
+    lc->builder.build(c, 0, 3);
+  }
+  {
+    // Exact uid match wins wherever it sits in the stack.
+    auto la = pool.lease(a);
+    EXPECT_EQ(la.get(), for_a);
+    // No scratch is bound to `b` and none is unbound: plain LIFO.
+    auto lb = pool.lease(b);
+    EXPECT_EQ(lb.get(), unbound);
+    EXPECT_EQ(lb->bound_uid(), c.uid());
+    lb->builder.build(b, 0, 3);
+    EXPECT_EQ(lb->bound_uid(), b.uid());
+  }
+  EXPECT_EQ(pool.idle_count(), 2u);
 }
 
 }  // namespace

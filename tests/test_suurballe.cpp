@@ -84,15 +84,17 @@ TEST(Suurballe, ParallelEdgesFormAPair) {
 }
 
 TEST(Suurballe, RespectsEdgeMask) {
+  // Arcs are masked by weight: +inf never relaxes, in either round.
   Digraph g(2);
   g.add_edge(0, 1);
   g.add_edge(0, 1);
   g.add_edge(0, 1);
-  std::vector<double> w{1, 4, 9};
-  std::vector<std::uint8_t> mask{0, 1, 1};
-  const DisjointPair pair = suurballe(g, w, 0, 1, mask);
+  std::vector<double> w{kInf, 4, 9};
+  const DisjointPair pair = suurballe(g, w, 0, 1);
   ASSERT_TRUE(pair.found);
   EXPECT_DOUBLE_EQ(pair.total_cost(), 13.0);
+  w[2] = kInf;  // one finite arc left: no pair
+  EXPECT_FALSE(suurballe(g, w, 0, 1).found);
 }
 
 TEST(Suurballe, ZeroWeightGraph) {
@@ -242,7 +244,8 @@ TEST(SuurballeNodeDisjoint, CostsMappedBackToOriginalWeights) {
 // instance is invisible: a long-lived engine returns a DisjointPair bit for
 // bit identical (edges, per-path costs) to a fresh engine on the same
 // instance, which checks that the retained scratch is clean between solves.
-// Feasibility and total cost agree with suurballe(); the edges may differ
+// Feasibility and total cost agree with min_cost_disjoint_paths, an
+// independent successive-shortest-path algorithm; the edges may differ
 // under cost ties, where the engine follows its stated canonical p1 rule.
 
 void expect_bitwise(const DisjointPair& a, const DisjointPair& b) {
@@ -278,14 +281,19 @@ DisjointPair fresh_solve(const Digraph& g, const std::vector<double>& w,
   return fresh.solve(g, w, s, t);
 }
 
-TEST(SuurballeEngine, MatchesClassicOnFirstSolve) {
+/// Total cost of the min-cost 2-flow, or -1 when no pair exists.
+double mcf_total(const Digraph& g, const std::vector<double>& w, NodeId s,
+                 NodeId t) {
+  const auto paths = min_cost_disjoint_paths(g, w, s, t, 2);
+  return paths ? (*paths)[0].cost + (*paths)[1].cost : -1.0;
+}
+
+TEST(SuurballeEngine, MatchesMinCostFlowOnFirstSolve) {
   Diamond d;
   SuurballeEngine eng;
   const DisjointPair pair = eng.solve(d.g, d.w, 0, 3);
-  const DisjointPair classic = suurballe(d.g, d.w, 0, 3);
   ASSERT_TRUE(pair.found);
-  ASSERT_EQ(classic.found, pair.found);
-  EXPECT_DOUBLE_EQ(classic.total_cost(), pair.total_cost());
+  EXPECT_DOUBLE_EQ(mcf_total(d.g, d.w, 0, 3), pair.total_cost());
 }
 
 TEST(SuurballeEngine, EqualCostTieTakesMinimumTightArc) {
@@ -310,9 +318,8 @@ TEST(SuurballeEngine, EqualCostTieTakesMinimumTightArc) {
   EXPECT_EQ(pair.second.edges, (std::vector<EdgeId>{0, 5}));
   EXPECT_EQ(pair.first.cost, 2.0);
   EXPECT_EQ(pair.second.cost, 2.0);
-  // The classic implementation breaks this tie by pop order instead; only
-  // the optimum is shared.
-  EXPECT_EQ(suurballe(g, w, 0, 4).total_cost(), pair.total_cost());
+  // Min-cost flow settles the tie its own way; only the optimum is shared.
+  EXPECT_EQ(mcf_total(g, w, 0, 4), pair.total_cost());
 }
 
 TEST(SuurballeEngine, ReusedEngineMatchesFreshAfterWeightIncrease) {
@@ -352,8 +359,8 @@ TEST(SuurballeEngine, InfeasibleThenFeasibleAgain) {
 TEST(SuurballeEngine, RandomizedDriftReusedMatchesFreshBitForBit) {
   // Random graphs under random weight drift, with sources, sinks and graph
   // shapes changing between solves; every solve of one long-lived engine is
-  // compared bitwise against a fresh engine and checked against classic
-  // Suurballe's feasibility and optimum.
+  // compared bitwise against a fresh engine and checked against the
+  // min-cost flow's feasibility and optimum.
   support::Rng rng(2024);
   SuurballeEngine eng;
   for (int inst = 0; inst < 10; ++inst) {
@@ -379,10 +386,11 @@ TEST(SuurballeEngine, RandomizedDriftReusedMatchesFreshBitForBit) {
       const DisjointPair reused = eng.solve(g, w, s, t);
       expect_bitwise(fresh_solve(g, w, s, t), reused);
       if (HasFatalFailure()) return;
-      const DisjointPair classic = suurballe(g, w, s, t);
-      ASSERT_EQ(classic.found, reused.found);
-      if (classic.found) {
-        EXPECT_NEAR(classic.total_cost(), reused.total_cost(), 1e-9);
+      const auto oracle = min_cost_disjoint_paths(g, w, s, t, 2);
+      ASSERT_EQ(oracle.has_value(), reused.found);
+      if (oracle) {
+        EXPECT_NEAR((*oracle)[0].cost + (*oracle)[1].cost,
+                    reused.total_cost(), 1e-9);
       }
     }
   }
